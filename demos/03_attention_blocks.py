@@ -1,23 +1,24 @@
 #!/usr/bin/env python3
 # Walk through the attention machinery: the distance-bucket map, the
-# relative-position bias it indexes, windowed attention, the stride
-# shuffle, and gated pooling, ending with a finite-difference check of
-# one full block.
+# relative-position bias it indexes, the batched window-attention kernel
+# (used with a bias by the local layer and without one, after a stride
+# shuffle, by the shuffle layer), and gated pooling, ending with a
+# finite-difference check of one full block including the bias table.
 
 import numpy as np
 
 from hvtsurv.blocks import (
     AttnPoolParams,
     BucketParams,
-    RelPosBiasTable,
     WindowBlockParams,
     attn_pool,
+    bias_table_grad,
     bucket_distance,
     inverse_permutation,
-    local_window_attention,
-    local_window_attention_backward,
-    manhattan_bias,
+    manhattan_bucket_index,
     spatial_shuffle,
+    window_attention,
+    window_attention_backward,
 )
 from hvtsurv.numerics import ParamStore, finite_diff_check
 
@@ -29,48 +30,66 @@ print("short distances keep their own bucket; long ones compress "
       f"logarithmically and cap at {p.lam}\n")
 
 rng = np.random.default_rng(0)
-table = RelPosBiasTable.init(p, n_heads=2, rng=rng)
-coords = np.array([[1, 1], [2, 1], [1, 2], [5, 6]])
-bias = manhattan_bias(coords, table, p)
-print("per-head bias for a 4-patch window (head 0):")
-print(np.round(bias[0], 4))
-print("symmetric:", np.allclose(bias, bias.transpose(0, 2, 1)), "\n")
+table = rng.normal(scale=0.02, size=(p.table_rows, 2))   # (buckets, heads)
+# two windows of four patches each, as (nW, w, 2) grid coordinates
+coords = np.array([[[1, 1], [2, 1], [1, 2], [5, 6]],
+                   [[9, 9], [9, 10], [10, 10], [12, 9]]])
+idx = manhattan_bucket_index(coords, p)
+bias = table[idx].transpose(0, 3, 1, 2)                  # (nW, heads, w, w)
+print("bucket indices of window 0:")
+print(idx[0])
+print("per-head bias for window 0 (head 0):")
+print(np.round(bias[0, 0], 4))
+print("symmetric:", np.allclose(bias, bias.transpose(0, 1, 3, 2)), "\n")
 
 params = WindowBlockParams.init(dim=16, n_heads=2, rng=rng)
-x = rng.normal(size=(4, 16))
-out, state = local_window_attention(x, params, bias, return_state=True)
+x = rng.normal(size=(8, 16))
+out, state = window_attention(x, params, 4, bias, return_state=True)
+print("attention shape (windows, heads, w, w):", state["attn"].shape)
 print("attention rows sum to", state["attn"].sum(axis=-1).ravel()[:4], "\n")
 
 perm = spatial_shuffle(12, 3)
 print("stride shuffle of 12 rows at w=3:", perm.tolist())
 print("inverse restores order:",
-      np.array_equal(perm[inverse_permutation(perm)], np.arange(12)), "\n")
+      np.array_equal(perm[inverse_permutation(perm)], np.arange(12)))
+shuffle_params = WindowBlockParams.init(dim=16, n_heads=2, rng=rng)
+h = rng.normal(size=(12, 16))
+mixed = window_attention(h[perm], shuffle_params, 3)[inverse_permutation(perm)]
+print("shuffle layer = same kernel, no bias, rows permuted and restored:",
+      mixed.shape, "\n")
 
 pool = AttnPoolParams.init(dim=16, hidden=8, rng=rng)
 pooled, weights = attn_pool(rng.normal(size=(6, 16)), pool)
 print("pooling weights:", np.round(weights, 3), "sum", weights.sum(), "\n")
 
-# finite-difference check of the whole block (weights and input); the
-# weights are scaled up so the attention is far from uniform and every
-# gradient element sits well above the finite-difference noise floor
+# finite-difference check of the whole block (weights, input and bias
+# table); the weights are scaled up so the attention is far from uniform
+# and every gradient element sits well above the finite-difference noise
+# floor
 for name in ("wq", "wk", "wv", "wo", "ffn_w1", "ffn_w2"):
     getattr(params, name)[...] *= 10.0
 store = ParamStore()
 store.add("x", x)
+store.add("bias_table", table * 50.0)
 for name in params.array_fields():
     store.add(name, getattr(params, name))
-probe = rng.normal(size=(4, 16))
+probe = rng.normal(size=(8, 16))
+
+
+def block_of(ps):
+    return WindowBlockParams(**{n: ps[n] for n in params.array_fields()}, n_heads=2)
 
 
 def loss(ps):
-    block = WindowBlockParams(**{n: ps[n] for n in params.array_fields()}, n_heads=2)
-    return float(np.sum(local_window_attention(ps["x"], block, bias) * probe))
+    b = ps["bias_table"][idx].transpose(0, 3, 1, 2)
+    return float(np.sum(window_attention(ps["x"], block_of(ps), 4, b) * probe))
 
 
-block = WindowBlockParams(**{n: store[n] for n in params.array_fields()}, n_heads=2)
-_, st = local_window_attention(store["x"], block, bias, return_state=True)
-gx, grads, _ = local_window_attention_backward(probe, st, block)
+b = store["bias_table"][idx].transpose(0, 3, 1, 2)
+_, st = window_attention(store["x"], block_of(store), 4, b, return_state=True)
+gx, grads, g_scores = window_attention_backward(probe, st, block_of(store))
 store.add_grad("x", gx)
+store.add_grad("bias_table", bias_table_grad(g_scores, idx, p.table_rows))
 for name, g in grads.items():
     store.add_grad(name, g)
 err = finite_diff_check(loss, store, eps=1e-5)

@@ -1,8 +1,9 @@
 """Attention building blocks.
 
 * piecewise bucketing of Manhattan distances into a small index range,
-* a learnable relative-position bias table indexed by those buckets,
+  which addresses a learnable (rows, heads) relative-position bias table,
 * windowed multi-head self-attention (pre-norm, residual, gelu MLP),
+  batched over all windows of a sub-bag, with an optional additive bias,
 * a deterministic stride shuffle that mixes rows across windows,
 * gated attention pooling of a variable-length feature set.
 
@@ -74,37 +75,26 @@ def bucket_distance(x: float, p: BucketParams) -> int:
     return int(bucket_distances(np.asarray(x), p))
 
 
-@dataclass
-class RelPosBiasTable:
-    """Learnable (2*lam+1, n_heads) bias table addressed by bucket index."""
-
-    table: np.ndarray
-
-    @classmethod
-    def init(cls, p: BucketParams, n_heads: int, rng: np.random.Generator):
-        return cls(table=rng.normal(scale=0.02, size=(p.table_rows, n_heads)))
-
-
 def manhattan_bucket_index(coords: np.ndarray, p: BucketParams) -> np.ndarray:
-    """(w, w) bucket indices of pairwise Manhattan distances on the grid."""
+    """Bucket indices of pairwise Manhattan distances within each window.
+
+    ``coords`` is (w, 2) for one window or (nW, w, 2) for a batch of
+    windows; the result is (w, w) or (nW, w, w) respectively.
+    """
     c = np.asarray(coords, dtype=np.int64)
-    m = np.abs(c[:, None, 0] - c[None, :, 0]) + np.abs(c[:, None, 1] - c[None, :, 1])
+    m = (np.abs(c[..., :, None, 0] - c[..., None, :, 0])
+         + np.abs(c[..., :, None, 1] - c[..., None, :, 1]))
     return bucket_distances(m, p)
 
 
-def manhattan_bias(coords: np.ndarray, table: RelPosBiasTable, p: BucketParams) -> np.ndarray:
-    """Per-head (n_heads, w, w) additive bias for one window's coordinates."""
-    idx = manhattan_bucket_index(coords, p)
-    return table.table[idx].transpose(2, 0, 1)
+def bias_table_grad(g_scores: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
+    """Scatter (nW, h, w, w) score gradients onto the (n_rows, h) bias table.
 
-
-def manhattan_bias_backward(gbias: np.ndarray, idx: np.ndarray, table_shape) -> np.ndarray:
-    """Scatter per-head bias gradients back onto the table rows."""
-    g = np.zeros(table_shape)
-    heads = gbias.shape[0]
-    for h in range(heads):
-        np.add.at(g[:, h], idx.reshape(-1), gbias[h].reshape(-1))
-    return g
+    ``idx`` holds the (nW, w, w) table row each score read its bias from.
+    """
+    flat = idx.reshape(-1)
+    return np.stack([np.bincount(flat, weights=g_scores[:, k].reshape(-1), minlength=n_rows)
+                     for k in range(g_scores.shape[1])], axis=1)
 
 
 @dataclass
@@ -143,88 +133,92 @@ class WindowBlockParams:
     def array_fields(self) -> list[str]:
         return [f.name for f in fields(self) if f.name != "n_heads"]
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(getattr(self, name)) for name in self.array_fields()}
+
+def _windows(m: np.ndarray, w: int, heads: int) -> np.ndarray:
+    """(N, d) rows as an (N/w, heads, w, d/heads) per-window, per-head view."""
+    n, d = m.shape
+    return m.reshape(n // w, w, heads, d // heads).transpose(0, 2, 1, 3)
 
 
-def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    w, d = x.shape
-    return x.reshape(w, n_heads, d // n_heads).transpose(1, 0, 2)
+def _rows(m: np.ndarray) -> np.ndarray:
+    """Inverse of ``_windows``: (nW, heads, w, d_head) back to (nW*w, d)."""
+    nw, heads, w, d_head = m.shape
+    return m.transpose(0, 2, 1, 3).reshape(nw * w, heads * d_head)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    h, w, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(w, h * dh)
+def window_attention(x: np.ndarray, params: WindowBlockParams, w: int, bias=None,
+                     return_state: bool = False):
+    """The attention block over consecutive w-row windows of x (N, d).
 
-
-def local_window_attention(x: np.ndarray, params: WindowBlockParams, bias=None,
-                           return_state: bool = False):
-    """One window through the attention block.
-
-    Per head the attention is softmax((Q K^T + B) / sqrt(d_head)) with B
-    the per-head additive bias (omitted when ``bias`` is None), followed
-    by the output projection, residual, and the pre-norm gelu MLP.
+    Rows k*w .. (k+1)*w - 1 form window k. Layer norms, projections and
+    the gelu MLP act row by row on all N rows at once; only the
+    attention itself is batched per window and head, as
+    softmax((Q K^T + B) / sqrt(d_head)) with B the (nW, h, w, w)
+    additive bias (omitted when ``bias`` is None).
     """
-    w, d = x.shape
-    if d % params.n_heads:
-        raise ShapeError(f"dim {d} not divisible by {params.n_heads} heads")
-    if bias is not None and bias.shape != (params.n_heads, w, w):
-        raise ShapeError(f"bias shape {bias.shape}, expected {(params.n_heads, w, w)}")
-    d_head = d // params.n_heads
-    scale = 1.0 / np.sqrt(d_head)
+    n, d = x.shape
+    heads = params.n_heads
+    if d % heads:
+        raise ShapeError(f"dim {d} not divisible by {heads} heads")
+    if w < 1 or n % w:
+        raise ShapeError(f"window size {w} does not divide {n} rows")
+    if bias is not None and bias.shape != (n // w, heads, w, w):
+        raise ShapeError(f"bias shape {bias.shape}, expected {(n // w, heads, w, w)}")
+    scale = 1.0 / np.sqrt(d // heads)
 
     u, ln1_state = layer_norm(x, params.ln1_gamma, params.ln1_beta)
-    qh = _split_heads(u @ params.wq, params.n_heads)
-    kh = _split_heads(u @ params.wk, params.n_heads)
-    vh = _split_heads(u @ params.wv, params.n_heads)
-    scores = qh @ kh.transpose(0, 2, 1)
+    qh = _windows(u @ params.wq, w, heads)
+    kh = _windows(u @ params.wk, w, heads)
+    vh = _windows(u @ params.wv, w, heads)
+    scores = qh @ kh.transpose(0, 1, 3, 2)
     if bias is not None:
-        scores = scores + bias
+        scores += bias
     attn = softmax_rows(scores * scale)
-    ctx = _merge_heads(attn @ vh)
+    ctx = _rows(attn @ vh)
     y = x + ctx @ params.wo
 
     u2, ln2_state = layer_norm(y, params.ln2_gamma, params.ln2_beta)
     h1 = linear(u2, params.ffn_w1, params.ffn_b1)
-    a1 = gelu(h1)
-    out = y + linear(a1, params.ffn_w2, params.ffn_b2)
+    out = y + linear(gelu(h1), params.ffn_w2, params.ffn_b2)
 
     if not return_state:
         return out
-    state = dict(
-        u=u, ln1_state=ln1_state, qh=qh, kh=kh, vh=vh, attn=attn, ctx=ctx,
-        ln2_state=ln2_state, u2=u2, h1=h1, a1=a1, scale=scale, has_bias=bias is not None,
-    )
+    # gelu(h1) is not kept: the backward recomputes it (bit-identically),
+    # which saves an (N, ffn_ratio*d) array per layer at the step's peak
+    state = dict(u=u, ln1_state=ln1_state, qh=qh, kh=kh, vh=vh, attn=attn, ctx=ctx,
+                 ln2_state=ln2_state, u2=u2, h1=h1, scale=scale)
     return out, state
 
 
-def local_window_attention_backward(grad: np.ndarray, state: dict,
-                                    params: WindowBlockParams):
-    """Gradients of one window block: returns (gx, param grads, bias grad)."""
-    gy = grad.copy()
-    ga1, g_ffn_w2, g_ffn_b2 = linear_backward(grad, state["a1"], params.ffn_w2)
-    gh1 = gelu_backward(ga1, state["h1"])
-    gu2, g_ffn_w1, g_ffn_b1 = linear_backward(gh1, state["u2"], params.ffn_w1)
-    gy_ln, g_ln2_gamma, g_ln2_beta = layer_norm_backward(gu2, state["ln2_state"],
+def window_attention_backward(grad: np.ndarray, state: dict, params: WindowBlockParams):
+    """Gradients of window_attention: (gx, param grads, score grads).
+
+    The score gradient is (nW, h, w, w), the gradient of the additive
+    bias. Each stored activation is popped from ``state`` once used, so
+    the state is spent afterwards.
+    """
+    h1 = state.pop("h1")
+    ga1, g_ffn_w2, g_ffn_b2 = linear_backward(grad, gelu(h1), params.ffn_w2)
+    gh1 = gelu_backward(ga1, h1)
+    gu2, g_ffn_w1, g_ffn_b1 = linear_backward(gh1, state.pop("u2"), params.ffn_w1)
+    gy_ln, g_ln2_gamma, g_ln2_beta = layer_norm_backward(gu2, state.pop("ln2_state"),
                                                          params.ln2_gamma)
-    gy += gy_ln
+    gy = grad + gy_ln
 
-    gctx = gy @ params.wo.T
-    g_wo = state["ctx"].T @ gy
-    gctx_h = _split_heads(gctx, params.n_heads)
-    g_attn = gctx_h @ state["vh"].transpose(0, 2, 1)
-    g_vh = state["attn"].transpose(0, 2, 1) @ gctx_h
-    g_scaled = softmax_rows_backward(g_attn, state["attn"])
-    g_scores = g_scaled * state["scale"]
-    g_bias = g_scores if state["has_bias"] else None
-    g_qh = g_scores @ state["kh"]
-    g_kh = g_scores.transpose(0, 2, 1) @ state["qh"]
-
-    gq, gk, gv = _merge_heads(g_qh), _merge_heads(g_kh), _merge_heads(g_vh)
-    u = state["u"]
+    g_wo = state.pop("ctx").T @ gy
+    attn, vh = state.pop("attn"), state.pop("vh")
+    gctx = _windows(gy @ params.wo.T, attn.shape[2], params.n_heads)
+    g_attn = gctx @ vh.transpose(0, 1, 3, 2)
+    g_vh = attn.transpose(0, 1, 3, 2) @ gctx
+    g_scores = softmax_rows_backward(g_attn, attn) * state.pop("scale")
+    qh, kh = state.pop("qh"), state.pop("kh")
+    g_qh = g_scores @ kh
+    g_kh = g_scores.transpose(0, 1, 3, 2) @ qh
+    gq, gk, gv = _rows(g_qh), _rows(g_kh), _rows(g_vh)
+    u = state.pop("u")
     gu = gq @ params.wq.T + gk @ params.wk.T + gv @ params.wv.T
     g_wq, g_wk, g_wv = u.T @ gq, u.T @ gk, u.T @ gv
-    gx_ln, g_ln1_gamma, g_ln1_beta = layer_norm_backward(gu, state["ln1_state"],
+    gx_ln, g_ln1_gamma, g_ln1_beta = layer_norm_backward(gu, state.pop("ln1_state"),
                                                          params.ln1_gamma)
     gx = gy + gx_ln
 
@@ -234,7 +228,7 @@ def local_window_attention_backward(grad: np.ndarray, state: dict,
         ln2_gamma=g_ln2_gamma, ln2_beta=g_ln2_beta,
         ffn_w1=g_ffn_w1, ffn_b1=g_ffn_b1, ffn_w2=g_ffn_w2, ffn_b2=g_ffn_b2,
     )
-    return gx, grads, g_bias
+    return gx, grads, g_scores
 
 
 def spatial_shuffle(length: int, w: int) -> np.ndarray:
@@ -253,46 +247,6 @@ def inverse_permutation(perm: np.ndarray) -> np.ndarray:
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
     return inv
-
-
-def shuffle_window_attention(x: np.ndarray, params: WindowBlockParams, w: int,
-                             return_state: bool = False):
-    """Stride-shuffle the rows, run bias-free window attention, restore order."""
-    length = x.shape[0]
-    perm = spatial_shuffle(length, w)
-    inv = inverse_permutation(perm)
-    xs = x[perm]
-    out_s = np.empty_like(xs)
-    states = []
-    for k in range(length // w):
-        sl = slice(k * w, (k + 1) * w)
-        if return_state:
-            out_s[sl], st = local_window_attention(xs[sl], params, None, return_state=True)
-            states.append(st)
-        else:
-            out_s[sl] = local_window_attention(xs[sl], params, None)
-    out = out_s[inv]
-    if not return_state:
-        return out
-    return out, dict(perm=perm, inv=inv, states=states, w=w)
-
-
-def shuffle_window_attention_backward(grad: np.ndarray, state: dict,
-                                      params: WindowBlockParams):
-    """Gradients through the shuffled window pass: (gx, summed param grads)."""
-    perm, inv, w = state["perm"], state["inv"], state["w"]
-    g_out_s = np.empty_like(grad)
-    g_out_s[inv] = grad
-    gxs = np.empty_like(grad)
-    total = params.zero_grads()
-    for k, st in enumerate(state["states"]):
-        sl = slice(k * w, (k + 1) * w)
-        gxs[sl], grads, _ = local_window_attention_backward(g_out_s[sl], st, params)
-        for name, g in grads.items():
-            total[name] += g
-    gx = np.empty_like(grad)
-    gx[perm] = gxs
-    return gx, total
 
 
 @dataclass

@@ -36,7 +36,7 @@ from .bagio import (
 )
 from .blocks import BucketParams
 from .errors import ConfigurationError, FormatError, HVTSurvError, NumericError, ValidationError
-from .rearrange import compare_strategies, knn_rearrange
+from .rearrange import knn_rearrange, raster_order, window_mean_manhattan
 from .seeding import derive_seed
 from .survmodel import (
     EVAL_MASK_SEED,
@@ -244,8 +244,8 @@ def cmd_rearrange(rc: RunConfig, manifest: str, out: str, force: bool,
                                  reb.scaled_coords[i, 0], reb.scaled_coords[i, 1]])
         row = None
         if report:
-            knn_mean, raster_mean = compare_strategies(bag, rc.window_size)
-            row = dict(wsi_id=bag.wsi_id, knn_mean=knn_mean, raster_mean=raster_mean)
+            row = dict(wsi_id=bag.wsi_id, knn_mean=window_mean_manhattan(reb),
+                       raster_mean=window_mean_manhattan(raster_order(bag, rc.window_size)))
         return [pbag_path, sidecar], row
 
     def guarded(bag):
@@ -353,6 +353,48 @@ def _fold_predictions(records, indices, params, cfg):
     return preds
 
 
+def _fold_checkpoints(ckpt_dir: Path, seed: int, feature_dim: int) -> list[Path]:
+    """The fold*.ckpt files of one training run, ordered by stored fold key.
+
+    All checkpoints must agree on the fold count, master seed, input_dim,
+    window_size and n_intervals, and their fold keys must be exactly
+    0..k-1 for k files.
+    """
+    paths = sorted(ckpt_dir.glob("fold*.ckpt"))
+    if not paths:
+        raise ValidationError(f"no fold checkpoints found in {ckpt_dir}")
+    by_fold: dict[int, Path] = {}
+    first = None
+    for path in paths:
+        _, cfg, extra = load_checkpoint(path)
+        run = dict(folds=int(extra.get("folds", -1)),
+                   master_seed=int(extra.get("master_seed", -1)),
+                   input_dim=cfg.input_dim, window_size=cfg.window_size,
+                   n_intervals=cfg.n_intervals)
+        if first is None:
+            first = (path, run)
+        elif run != first[1]:
+            raise FormatError(f"checkpoint set inconsistent: {path} has {run}, "
+                              f"{first[0]} has {first[1]}")
+        by_fold.setdefault(int(extra.get("fold", -1)), path)
+    path, run = first
+    if run["folds"] != len(paths):
+        raise FormatError(
+            f"checkpoint set inconsistent: metadata says {run['folds']} folds, "
+            f"found {len(paths)} files")
+    if sorted(by_fold) != list(range(len(paths))):
+        raise FormatError(f"checkpoint fold keys {sorted(by_fold)} are not "
+                          f"0..{len(paths) - 1}, one per file")
+    if run["master_seed"] != seed:
+        raise FormatError(
+            f"checkpoint/config mismatch: trained with seed {run['master_seed']}, "
+            f"evaluating with seed {seed}")
+    if run["input_dim"] != feature_dim:
+        raise FormatError(f"{path}: model expects {run['input_dim']}-dim features, "
+                          f"cohort has {feature_dim}")
+    return [by_fold[k] for k in range(len(paths))]
+
+
 def cmd_eval(rc: RunConfig, manifest: str, checkpoint_dir: str, out: str,
              force: bool) -> dict:
     """Out-of-sample risks per fold, pooled stratified KM and log-rank."""
@@ -362,20 +404,8 @@ def cmd_eval(rc: RunConfig, manifest: str, checkpoint_dir: str, out: str,
     records = load_manifest(manifest)
     bin_survival_times(records, rc.n_intervals)
 
-    ckpt_dir = Path(checkpoint_dir)
-    ckpts = sorted(ckpt_dir.glob("fold*.ckpt"))
-    if not ckpts:
-        raise ValidationError(f"no fold checkpoints found in {ckpt_dir}")
-
-    _, cfg0, extra0 = load_checkpoint(ckpts[0])
-    if int(extra0.get("folds", -1)) != len(ckpts):
-        raise FormatError(
-            f"checkpoint set inconsistent: metadata says {extra0.get('folds')} folds, "
-            f"found {len(ckpts)} files")
-    if int(extra0.get("master_seed", -1)) != rc.seed:
-        raise FormatError(
-            f"checkpoint/config mismatch: trained with seed {extra0.get('master_seed')}, "
-            f"evaluating with seed {rc.seed}")
+    ckpts = _fold_checkpoints(Path(checkpoint_dir), rc.seed,
+                              records[0].bags[0].feature_dim)
     splits = stratified_kfold(records, len(ckpts), seed=derive_seed(rc.seed, "splits"))
 
     fold_ci = []
@@ -383,11 +413,7 @@ def cmd_eval(rc: RunConfig, manifest: str, checkpoint_dir: str, out: str,
     pooled_high: list = []
     risk_rows = []
     for fold, ckpt_path in enumerate(ckpts):
-        params, cfg, extra = load_checkpoint(ckpt_path)
-        if cfg.input_dim != records[0].bags[0].feature_dim:
-            raise FormatError(
-                f"{ckpt_path}: model expects {cfg.input_dim}-dim features, "
-                f"cohort has {records[0].bags[0].feature_dim}")
+        params, cfg, _ = load_checkpoint(ckpt_path)
         preds = _fold_predictions(records, splits[fold].test, params, cfg)
         fold_ci.append(survstats.c_index(preds))
         low, high = survstats.risk_stratify(preds)

@@ -13,6 +13,7 @@ live here too.
 
 from __future__ import annotations
 
+import logging
 import struct
 from dataclasses import dataclass, field, fields
 
@@ -23,21 +24,22 @@ from .bagio import PatientRecord
 from .blocks import (
     AttnPoolParams,
     BucketParams,
-    RelPosBiasTable,
     WindowBlockParams,
     attn_pool,
     attn_pool_backward,
-    local_window_attention,
-    local_window_attention_backward,
+    bias_table_grad,
+    inverse_permutation,
     manhattan_bucket_index,
-    manhattan_bias_backward,
-    shuffle_window_attention,
-    shuffle_window_attention_backward,
+    spatial_shuffle,
+    window_attention,
+    window_attention_backward,
 )
-from .errors import FormatError, NumericError, ValidationError
+from .errors import FormatError, NumericError, UndefinedStatisticError, ValidationError
 from .numerics import ParamStore, linear, linear_backward, sigmoid
 from .rearrange import RearrangedBag, SubWsiBag, knn_rearrange, random_window_mask
 from .seeding import derive_seed, rng_for
+
+log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"HVTC"
 CHECKPOINT_VERSION = 1
@@ -188,8 +190,9 @@ def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
     w = cfg.window_size
     local_params = _block_view(params, "local", cfg.n_heads)
     shuffle_params = _block_view(params, "shuffle", cfg.n_heads)
-    table = RelPosBiasTable(table=params["local.bias_table"])
+    table = params["local.bias_table"]
     pool_params = AttnPoolParams(U=params["pool.U"], V=params["pool.V"])
+    keep = return_state or want_attention
 
     per_bag_states = []
     outputs = []
@@ -199,38 +202,37 @@ def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
         x = np.asarray(sub.features, dtype=np.float64)
         if x.shape[0] % w:
             raise ValidationError("sub-WSI row count is not a multiple of the window size")
+        nw = x.shape[0] // w
         h0 = linear(x, params["reduce.weight"], params["reduce.bias"])
 
-        h1 = np.empty_like(h0)
-        window_states = []
-        for k in range(x.shape[0] // w):
-            sl = slice(k * w, (k + 1) * w)
-            coords = sub.scaled_coords[sl]
-            idx = manhattan_bucket_index(coords, cfg.bucket)
-            bias = table.table[idx].transpose(2, 0, 1)
-            h1[sl], st = local_window_attention(h0[sl], local_params, bias,
-                                                return_state=True)
-            window_states.append((sl, idx, st))
-            if want_attention:
-                attn_local.append(AttentionEntry(
-                    wsi_id=sub.source_wsi, matrix=st["attn"],
-                    source_rows=sub.source_rows[sl], coords=coords,
-                ))
+        idx = manhattan_bucket_index(sub.scaled_coords.reshape(nw, w, 2), cfg.bucket)
+        bias = table[idx].transpose(0, 3, 1, 2)
+        h1 = window_attention(h0, local_params, w, bias, return_state=keep)
+        if keep:
+            h1, local_state = h1
 
-        h2, shuffle_state = shuffle_window_attention(h1, shuffle_params, w,
-                                                     return_state=True)
+        perm = spatial_shuffle(x.shape[0], w)
+        inv = inverse_permutation(perm)
+        h2 = window_attention(h1[perm], shuffle_params, w, return_state=keep)
+        if keep:
+            h2, shuffle_state = h2
+        outputs.append(h2[inv])
+
         if want_attention:
-            perm = shuffle_state["perm"]
-            for k, st in enumerate(shuffle_state["states"]):
-                pos = perm[k * w : (k + 1) * w]
-                attn_shuffle.append(AttentionEntry(
-                    wsi_id=sub.source_wsi, matrix=st["attn"],
-                    source_rows=sub.source_rows[pos],
-                    coords=sub.scaled_coords[pos],
+            for k in range(nw):
+                sl = slice(k * w, (k + 1) * w)
+                attn_local.append(AttentionEntry(
+                    wsi_id=sub.source_wsi, matrix=local_state["attn"][k],
+                    source_rows=sub.source_rows[sl], coords=sub.scaled_coords[sl],
                 ))
-        outputs.append(h2)
-        per_bag_states.append(dict(x=x, h0=h0, windows=window_states,
-                                   shuffle=shuffle_state))
+                pos = perm[sl]
+                attn_shuffle.append(AttentionEntry(
+                    wsi_id=sub.source_wsi, matrix=shuffle_state["attn"][k],
+                    source_rows=sub.source_rows[pos], coords=sub.scaled_coords[pos],
+                ))
+        if return_state:
+            per_bag_states.append(dict(x=x, idx=idx, perm=perm, inv=inv,
+                                       local=local_state, shuffle=shuffle_state))
 
     h_cat = np.vstack(outputs)
     pooled, weights, pool_state = attn_pool(h_cat, pool_params, return_state=True)
@@ -303,26 +305,22 @@ def loss_and_grads(sub_bags: list[SubWsiBag], label: int, censored: int,
 
     local_params = _block_view(params, "local", cfg.n_heads)
     shuffle_params = _block_view(params, "shuffle", cfg.n_heads)
+    n_rows = params["local.bias_table"].shape[0]
     offset = 0
     for bag_state, size in zip(state["bags"], state["sizes"]):
         g_h2 = g_cat[offset : offset + size]
         offset += size
 
-        g_h1, sh_grads = shuffle_window_attention_backward(g_h2, bag_state["shuffle"],
-                                                           shuffle_params)
+        g_h1, sh_grads, _ = window_attention_backward(g_h2[bag_state["perm"]],
+                                                      bag_state["shuffle"], shuffle_params)
         for name, g in sh_grads.items():
             params.add_grad(f"shuffle.{name}", g)
 
-        g_h0 = np.empty_like(g_h1)
-        table_grad = np.zeros_like(params["local.bias_table"])
-        for sl, idx, st in bag_state["windows"]:
-            g_h0[sl], grads, g_bias = local_window_attention_backward(g_h1[sl], st,
-                                                                      local_params)
-            for name, g in grads.items():
-                params.add_grad(f"local.{name}", g)
-            table_grad += manhattan_bias_backward(g_bias, idx,
-                                                  params["local.bias_table"].shape)
-        params.add_grad("local.bias_table", table_grad)
+        g_h0, grads, g_scores = window_attention_backward(g_h1[bag_state["inv"]],
+                                                          bag_state["local"], local_params)
+        for name, g in grads.items():
+            params.add_grad(f"local.{name}", g)
+        params.add_grad("local.bias_table", bias_table_grad(g_scores, bag_state["idx"], n_rows))
 
         _, g_w, g_b = linear_backward(g_h0, bag_state["x"], params["reduce.weight"])
         params.add_grad("reduce.weight", g_w)
@@ -367,20 +365,6 @@ class FitResult:
     best_epoch: int
 
 
-def _risk_predictions(records, indices, params, cfg, cache) -> list:
-    preds = []
-    for i in indices:
-        rec = records[i]
-        sub = preprocess_patient(rec, cfg, EVAL_MASK_SEED, cache)
-        out = forward(sub, params, cfg)
-        preds.append(survstats.RiskPrediction(
-            patient_id=rec.patient_id, risk=out.risk,
-            time_months=rec.follow_up.time_months,
-            censored=rec.follow_up.censored,
-        ))
-    return preds
-
-
 def fit(records: list[PatientRecord], train_idx, val_idx, cfg: HVTSurvConfig,
         seed: int) -> FitResult:
     """Train with AdamW (batch size 1) and early stopping on validation loss.
@@ -422,18 +406,24 @@ def fit(records: list[PatientRecord], train_idx, val_idx, cfg: HVTSurvConfig,
             train_losses.append(loss)
 
         val_losses = []
+        val_preds = []
         for i in val_idx:
             rec = records[i]
             sub = preprocess_patient(rec, cfg, EVAL_MASK_SEED, cache)
             out = forward(sub, params, cfg)
             val_losses.append(nll_loss(out, rec.interval_label, rec.follow_up.censored))
+            val_preds.append(survstats.RiskPrediction(
+                patient_id=rec.patient_id, risk=out.risk,
+                time_months=rec.follow_up.time_months,
+                censored=rec.follow_up.censored,
+            ))
         val_loss = float(np.mean(val_losses))
         if not np.isfinite(val_loss):
             raise NumericError(f"non-finite validation loss at epoch {epoch}")
         try:
-            val_ci = survstats.c_index(_risk_predictions(records, val_idx, params,
-                                                         cfg, cache))
-        except Exception:
+            val_ci = survstats.c_index(val_preds)
+        except UndefinedStatisticError as exc:
+            log.warning("epoch %d: validation C-index undefined: %s", epoch, exc)
             val_ci = float("nan")
         history.append(dict(epoch=epoch, train_loss=float(np.mean(train_losses)),
                             val_loss=val_loss, val_cindex=val_ci))

@@ -1,24 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvtsurv.blocks import (
     AttnPoolParams,
     BucketParams,
-    RelPosBiasTable,
     WindowBlockParams,
     attn_pool,
     attn_pool_backward,
+    bias_table_grad,
     bucket_distance,
     bucket_distances,
     inverse_permutation,
-    local_window_attention,
-    local_window_attention_backward,
-    manhattan_bias,
-    manhattan_bias_backward,
     manhattan_bucket_index,
-    shuffle_window_attention,
-    shuffle_window_attention_backward,
     spatial_shuffle,
+    window_attention,
+    window_attention_backward,
 )
 from hvtsurv.errors import ShapeError, ValidationError
 from hvtsurv.numerics import ParamStore, finite_diff_check
@@ -68,77 +66,98 @@ class TestBucketDistance:
             BucketParams(lam=0)
 
 
+def bias_table(heads, rng):
+    return rng.normal(scale=0.02, size=(DEFAULTS.table_rows, heads))
+
+
+def window_bias(coords, table):
+    """(nW, heads, w, w) bias for (nW, w, 2) window coordinates."""
+    return table[manhattan_bucket_index(coords, DEFAULTS)].transpose(0, 3, 1, 2)
+
+
+def shuffled_attention(x, params, w):
+    perm = spatial_shuffle(x.shape[0], w)
+    return window_attention(x[perm], params, w)[inverse_permutation(perm)]
+
+
 class TestManhattanBias:
     def test_identical_coords_constant(self):
-        table = RelPosBiasTable.init(DEFAULTS, 2, rng)
-        coords = np.array([[3, 3]] * 4)
-        bias = manhattan_bias(coords, table, DEFAULTS)
+        table = bias_table(2, rng)
+        coords = np.array([[[3, 3]] * 4])
+        bias = window_bias(coords, table)
         for h in range(2):
-            assert np.allclose(bias[h], table.table[0, h])
+            assert np.allclose(bias[0, h], table[0, h])
+        # a per-head constant shifts every logit of a row equally
+        params = WindowBlockParams.init(8, 2, np.random.default_rng(11))
+        x = rng.normal(size=(4, 8))
+        assert np.allclose(window_attention(x, params, 4, bias),
+                           window_attention(x, params, 4, None))
 
     def test_distance_three_lookup(self):
-        table = RelPosBiasTable.init(DEFAULTS, 3, rng)
-        bias = manhattan_bias(np.array([[1, 1], [2, 3]]), table, DEFAULTS)
-        assert np.allclose(bias[:, 0, 1], table.table[bucket_distance(3, DEFAULTS)])
+        table = bias_table(3, rng)
+        bias = window_bias(np.array([[[1, 1], [2, 3]]]), table)
+        assert np.allclose(bias[0, :, 0, 1], table[bucket_distance(3, DEFAULTS)])
         assert bucket_distance(3, DEFAULTS) == 3
 
     def test_symmetry(self):
-        table = RelPosBiasTable.init(DEFAULTS, 4, rng)
+        table = bias_table(4, rng)
         for _ in range(20):
-            coords = rng.integers(1, 30, size=(6, 2))
-            bias = manhattan_bias(coords, table, DEFAULTS)
-            assert np.allclose(bias, bias.transpose(0, 2, 1))
+            coords = rng.integers(1, 30, size=(3, 6, 2))
+            bias = window_bias(coords, table)
+            assert np.allclose(bias, bias.transpose(0, 1, 3, 2))
 
     def test_only_low_rows_addressed(self):
         for _ in range(50):
-            coords = rng.integers(1, 1000, size=(8, 2))
+            coords = rng.integers(1, 1000, size=(3, 8, 2))
             idx = manhattan_bucket_index(coords, DEFAULTS)
+            assert idx.shape == (3, 8, 8)
             assert idx.max() <= DEFAULTS.lam
             assert idx.min() >= 0
 
 
 def block_fd_error(w=4, d=8, heads=2, seed=0, with_bias=True, shuffle_len=None):
-    """Max FD relative error of a window block over params, input and table."""
+    """Max FD relative error of the window kernel over params, input and
+    bias table; with ``shuffle_len`` rows it runs as the shuffle layer."""
     local_rng = np.random.default_rng(seed)
     params = WindowBlockParams.init(d, heads, local_rng)
-    table = RelPosBiasTable.init(DEFAULTS, heads, local_rng)
+    table = bias_table(heads, local_rng)
     length = shuffle_len or w
-    coords = local_rng.integers(1, 8, size=(w, 2))
-    idx = manhattan_bucket_index(coords, DEFAULTS)
+    idx = manhattan_bucket_index(local_rng.integers(1, 8, size=(1, w, 2)), DEFAULTS)
     x = local_rng.normal(size=(length, d))
     probe = local_rng.normal(size=(length, d))
+    perm = spatial_shuffle(length, w)
+    inv = inverse_permutation(perm)
 
     store = ParamStore()
     store.add("x", x)
     for name in params.array_fields():
         store.add(name, getattr(params, name))
     if with_bias:
-        store.add("bias_table", table.table)
+        store.add("bias_table", table)
 
     def rebuild(ps):
         pr = WindowBlockParams(**{n: ps[n] for n in params.array_fields()}, n_heads=heads)
-        bias = None
-        if with_bias:
-            bias = RelPosBiasTable(table=ps["bias_table"]).table[idx].transpose(2, 0, 1)
+        bias = ps["bias_table"][idx].transpose(0, 3, 1, 2) if with_bias else None
         return pr, bias
 
     def f(ps):
         pr, bias = rebuild(ps)
         if shuffle_len:
-            out = shuffle_window_attention(ps["x"], pr, w)
+            out = window_attention(ps["x"][perm], pr, w)[inv]
         else:
-            out = local_window_attention(ps["x"], pr, bias)
+            out = window_attention(ps["x"], pr, w, bias)
         return float(np.sum(out * probe))
 
     pr, bias = rebuild(store)
     if shuffle_len:
-        _, st = shuffle_window_attention(store["x"], pr, w, return_state=True)
-        gx, grads = shuffle_window_attention_backward(probe, st, pr)
+        _, st = window_attention(store["x"][perm], pr, w, return_state=True)
+        gxs, grads, _ = window_attention_backward(probe[perm], st, pr)
+        gx = gxs[inv]
     else:
-        _, st = local_window_attention(store["x"], pr, bias, return_state=True)
-        gx, grads, gbias = local_window_attention_backward(probe, st, pr)
+        _, st = window_attention(store["x"], pr, w, bias, return_state=True)
+        gx, grads, g_scores = window_attention_backward(probe, st, pr)
         if with_bias:
-            store.add_grad("bias_table", manhattan_bias_backward(gbias, idx, table.table.shape))
+            store.add_grad("bias_table", bias_table_grad(g_scores, idx, table.shape[0]))
     store.add_grad("x", gx)
     for k, v in grads.items():
         store.add_grad(k, v)
@@ -148,27 +167,28 @@ def block_fd_error(w=4, d=8, heads=2, seed=0, with_bias=True, shuffle_len=None):
 class TestLocalWindowAttention:
     def test_identical_rows_uniform_attention(self):
         params = WindowBlockParams.init(8, 2, np.random.default_rng(1))
-        x = np.tile(rng.normal(size=8), (5, 1))
-        out, st = local_window_attention(x, params, None, return_state=True)
+        x = np.tile(rng.normal(size=8), (10, 1))
+        out, st = window_attention(x, params, 5, None, return_state=True)
+        assert st["attn"].shape == (2, 2, 5, 5)
         assert np.allclose(st["attn"], 1.0 / 5.0)
         assert np.allclose(out, out[0])
 
     def test_attention_rows_sum_to_one(self):
         params = WindowBlockParams.init(8, 2, np.random.default_rng(2))
-        table = RelPosBiasTable.init(DEFAULTS, 2, rng)
+        table = bias_table(2, rng)
         for _ in range(20):
-            coords = rng.integers(1, 9, size=(6, 2))
-            bias = manhattan_bias(coords, table, DEFAULTS)
-            x = rng.normal(size=(6, 8))
-            _, st = local_window_attention(x, params, bias, return_state=True)
+            bias = window_bias(rng.integers(1, 9, size=(3, 6, 2)), table)
+            x = rng.normal(size=(18, 8))
+            _, st = window_attention(x, params, 6, bias, return_state=True)
             assert np.allclose(st["attn"].sum(axis=-1), 1.0, atol=1e-6)
 
     def test_permutation_equivariance_zero_bias(self):
+        # permuting rows inside each window permutes the output rows alike
         params = WindowBlockParams.init(8, 2, np.random.default_rng(3))
-        x = rng.normal(size=(6, 8))
-        perm = rng.permutation(6)
-        out = local_window_attention(x, params, None)
-        out_p = local_window_attention(x[perm], params, None)
+        x = rng.normal(size=(12, 8))
+        perm = np.concatenate([rng.permutation(6), 6 + rng.permutation(6)])
+        out = window_attention(x, params, 6, None)
+        out_p = window_attention(x[perm], params, 6, None)
         assert np.allclose(out_p, out[perm])
 
     def test_gradient_full_block(self):
@@ -176,8 +196,55 @@ class TestLocalWindowAttention:
 
     def test_bias_shape_checked(self):
         params = WindowBlockParams.init(8, 2, np.random.default_rng(4))
+        x = rng.normal(size=(4, 8))
+        for shape in ((1, 2, 3, 3), (2, 4, 4), (2, 2, 4, 4)):
+            with pytest.raises(ShapeError):
+                window_attention(x, params, 4, np.zeros(shape))
         with pytest.raises(ShapeError):
-            local_window_attention(rng.normal(size=(4, 8)), params, np.zeros((2, 3, 3)))
+            window_attention(x, params, 3)
+
+
+def single_window_calls(x, params, w, bias, probe):
+    """The kernel applied one window at a time (nW=1), results stacked."""
+    outs, gxs, g_scores, total = [], [], [], {}
+    for k in range(x.shape[0] // w):
+        sl = slice(k * w, (k + 1) * w)
+        b = None if bias is None else bias[k : k + 1]
+        out, st = window_attention(x[sl], params, w, b, return_state=True)
+        gx, grads, gs = window_attention_backward(probe[sl], st, params)
+        outs.append(out)
+        gxs.append(gx)
+        g_scores.append(gs)
+        for name, g in grads.items():
+            total[name] = total.get(name, 0.0) + g
+    return np.vstack(outs), np.vstack(gxs), total, np.concatenate(g_scores)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_windows=st.integers(1, 5), w=st.integers(1, 7), heads=st.integers(1, 3),
+       d_head=st.integers(1, 4), with_bias=st.booleans(), seed=st.integers(0, 2**31 - 1))
+def test_batched_kernel_equals_single_window_calls(n_windows, w, heads, d_head,
+                                                    with_bias, seed):
+    local_rng = np.random.default_rng(seed)
+    d = heads * d_head
+    params = WindowBlockParams.init(d, heads, local_rng)
+    for name in ("wq", "wk", "wv", "wo", "ffn_w1", "ffn_w2"):
+        getattr(params, name)[...] *= 10.0
+    x = local_rng.normal(size=(n_windows * w, d))
+    probe = local_rng.normal(size=x.shape)
+    bias = None
+    if with_bias:
+        bias = window_bias(local_rng.integers(1, 12, size=(n_windows, w, 2)),
+                           bias_table(heads, local_rng) * 50)
+
+    out, st = window_attention(x, params, w, bias, return_state=True)
+    gx, grads, g_scores = window_attention_backward(probe, st, params)
+    out_1, gx_1, grads_1, g_scores_1 = single_window_calls(x, params, w, bias, probe)
+    assert np.max(np.abs(out - out_1)) <= 1e-12
+    assert np.max(np.abs(gx - gx_1)) <= 1e-12
+    assert np.max(np.abs(g_scores - g_scores_1)) <= 1e-12
+    for name, g in grads.items():
+        assert np.max(np.abs(g - grads_1[name])) <= 1e-12, name
 
 
 class TestSpatialShuffle:
@@ -216,19 +283,16 @@ class TestShuffleWindowAttention:
     def test_single_window_equals_local(self):
         params = WindowBlockParams.init(8, 2, np.random.default_rng(5))
         x = rng.normal(size=(4, 8))
-        assert np.allclose(
-            shuffle_window_attention(x, params, 4),
-            local_window_attention(x, params, None),
-        )
+        assert np.allclose(shuffled_attention(x, params, 4),
+                           window_attention(x, params, 4, None))
 
     def test_row_order_restored(self):
         # with w=1 each row only attends to itself, so the output must be
         # the rowwise block map in the original order
         params = WindowBlockParams.init(8, 2, np.random.default_rng(6))
         x = rng.normal(size=(6, 8))
-        out = shuffle_window_attention(x, params, 1)
-        rowwise = np.vstack([local_window_attention(x[i : i + 1], params, None)
-                             for i in range(6)])
+        out = shuffled_attention(x, params, 1)
+        rowwise = np.vstack([window_attention(x[i : i + 1], params, 1) for i in range(6)])
         assert np.allclose(out, rowwise)
 
     def test_gradient(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hvtsurv import cli
-from hvtsurv.errors import ConfigurationError
+from hvtsurv.errors import ConfigurationError, FormatError
 
 
 def read_csv(path):
@@ -115,6 +115,23 @@ class TestRearrange:
         n_rows = len(side)
         assert n_rows % 8 == 0
 
+    def test_report_runs_knn_once_per_slide(self, cohort, tmp_path, monkeypatch):
+        from hvtsurv import rearrange
+        calls = []
+        real_knn = rearrange.knn_rearrange
+
+        def counting_knn(bag, w):
+            calls.append(bag.wsi_id)
+            return real_knn(bag, w)
+
+        monkeypatch.setattr(rearrange, "knn_rearrange", counting_knn)
+        monkeypatch.setattr(cli, "knn_rearrange", counting_knn)
+        out = tmp_path / "rearr3"
+        assert cli.main(["rearrange", "--manifest", str(cohort / "manifest.csv"),
+                         "--out", str(out), "--window-size", "8", "--report"]) == 0
+        slides = [r["wsi_id"] for r in read_csv(out / "window_distance_report.csv")]
+        assert sorted(calls) == sorted(slides)
+
     def test_rearranged_pbag_readable(self, cohort, tmp_path):
         from hvtsurv.bagio import read_patch_bag
         out = tmp_path / "rearr2"
@@ -212,6 +229,67 @@ class TestTrainEvalAttn:
         assert {r["layer"] for r in rows} == {"local", "shuffle", "pool"}
         scores = [float(r["score"]) for r in rows]
         assert min(scores) >= 0.0 and max(scores) <= 1.0
+
+
+@pytest.fixture(scope="module")
+def eleven_folds(tmp_path_factory):
+    """An untrained 11-fold run: every fold checkpoint holds distinct weights."""
+    root = tmp_path_factory.mktemp("eleven")
+    config = root / "run.ini"
+    config.write_text("patches_min = 20\npatches_max = 40\nfeature_dim = 6\n"
+                      "wsis_min = 1\nwsis_max = 1\n")
+    assert cli.main(synth_args(root / "data", n=66, seed=5,
+                               extra=["--config", str(config)])) == 0
+    assert cli.main(["train", "--manifest", str(root / "data" / "manifest.csv"),
+                     "--out", str(root / "train"), "--folds", "11", "--epochs", "0",
+                     "--seed", "0", "--model-dim", "8", "--window-size", "4",
+                     "--n-heads", "2"]) == 0
+    return root / "data" / "manifest.csv", root / "train"
+
+
+class TestEvalFoldPairing:
+    def test_each_risk_scored_by_its_own_fold_checkpoint(self, eleven_folds, tmp_path):
+        from hvtsurv.bagio import load_manifest
+        from hvtsurv.survmodel import (EVAL_MASK_SEED, forward, load_checkpoint,
+                                       preprocess_patient)
+        manifest, train = eleven_folds
+        assert cli.main(["eval", "--manifest", str(manifest), "--checkpoints", str(train),
+                         "--out", str(tmp_path / "ev"), "--seed", "0"]) == 0
+        rows = read_csv(tmp_path / "ev" / "risks.csv")
+        assert {int(r["fold"]) for r in rows} == set(range(11))
+        records = {r.patient_id: r for r in load_manifest(manifest)}
+        for fold in range(11):
+            params, cfg, extra = load_checkpoint(train / f"fold{fold}.ckpt")
+            assert int(extra["fold"]) == fold
+            for row in (r for r in rows if int(r["fold"]) == fold):
+                subs = preprocess_patient(records[row["patient_id"]], cfg, EVAL_MASK_SEED)
+                assert abs(float(row["risk"]) - forward(subs, params, cfg).risk) < 1e-7
+
+    def copy_run(self, train, dest):
+        dest.mkdir()
+        for path in train.glob("fold*.ckpt"):
+            (dest / path.name).write_bytes(path.read_bytes())
+        return dest
+
+    def test_duplicate_fold_key_rejected(self, eleven_folds, tmp_path):
+        manifest, train = eleven_folds
+        ckpts = self.copy_run(train, tmp_path / "dup")
+        (ckpts / "fold3.ckpt").write_bytes((ckpts / "fold0.ckpt").read_bytes())
+        rc = cli.build_run_config({}, {"seed": 0})
+        with pytest.raises(FormatError, match="fold keys"):
+            cli.cmd_eval(rc, str(manifest), str(ckpts), str(tmp_path / "ev"), force=False)
+
+    def test_window_size_mismatch_rejected(self, eleven_folds, tmp_path):
+        import dataclasses
+        from hvtsurv.survmodel import load_checkpoint, save_checkpoint
+        manifest, train = eleven_folds
+        ckpts = self.copy_run(train, tmp_path / "mixed")
+        params, cfg, extra = load_checkpoint(ckpts / "fold7.ckpt")
+        save_checkpoint(ckpts / "fold7.ckpt", params,
+                        dataclasses.replace(cfg, window_size=8), extra)
+        rc = cli.build_run_config({}, {"seed": 0})
+        with pytest.raises(FormatError, match="inconsistent"):
+            cli.cmd_eval(rc, str(manifest), str(ckpts), str(tmp_path / "ev"), force=False)
 
 
 class TestAttnDropExact:

@@ -205,6 +205,56 @@ class TestFit:
         with pytest.raises(ValidationError):
             fit(cohort, range(8), range(8, 12), cfg, seed=1)
 
+    def test_one_validation_forward_per_patient_per_epoch(self, monkeypatch):
+        from hvtsurv import survmodel
+        calls = []
+        real_forward = survmodel.forward
+
+        def counting_forward(*args, **kwargs):
+            calls.append(kwargs.get("return_state", False))
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(survmodel, "forward", counting_forward)
+        cfg = HVTSurvConfig(
+            input_dim=12, model_dim=16, window_size=4, n_heads=2, n_sub_wsis=2,
+            n_intervals=4, pool_hidden=8, max_epochs=2, patience=5, seed=0,
+        )
+        result = fit(self.small_cohort(), range(8), range(8, 12), cfg, seed=13)
+        assert len(result.history) == 2
+        assert calls.count(True) == 2 * 8      # training steps
+        assert calls.count(False) == 2 * 4     # validation: loss and C-index
+
+    def test_c_index_failure_propagates(self, monkeypatch):
+        from hvtsurv import survstats
+
+        def broken_c_index(preds):
+            raise RuntimeError("broken c-index")
+
+        monkeypatch.setattr(survstats, "c_index", broken_c_index)
+        cfg = HVTSurvConfig(
+            input_dim=12, model_dim=16, window_size=4, n_heads=2, n_sub_wsis=2,
+            n_intervals=4, pool_hidden=8, max_epochs=1, seed=0,
+        )
+        with pytest.raises(RuntimeError, match="broken c-index"):
+            fit(self.small_cohort(), range(8), range(8, 12), cfg, seed=2)
+
+    def test_undefined_c_index_is_nan_and_logged(self, monkeypatch, caplog):
+        from hvtsurv import survstats
+        from hvtsurv.errors import UndefinedStatisticError
+
+        def undefined_c_index(preds):
+            raise UndefinedStatisticError("no comparable pairs")
+
+        monkeypatch.setattr(survstats, "c_index", undefined_c_index)
+        cfg = HVTSurvConfig(
+            input_dim=12, model_dim=16, window_size=4, n_heads=2, n_sub_wsis=2,
+            n_intervals=4, pool_hidden=8, max_epochs=1, seed=0,
+        )
+        with caplog.at_level("WARNING", logger="hvtsurv"):
+            result = fit(self.small_cohort(), range(8), range(8, 12), cfg, seed=2)
+        assert np.isnan(result.history[0]["val_cindex"])
+        assert "no comparable pairs" in caplog.text
+
 
 class TestExportAttention:
     def record_for(self, patient, params, cfg, mask_seed=7):
