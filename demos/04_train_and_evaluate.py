@@ -8,13 +8,7 @@ import numpy as np
 from hvtsurv import survstats
 from hvtsurv.bagio import bin_survival_times, stratified_kfold
 from hvtsurv.seeding import derive_seed
-from hvtsurv.survmodel import (
-    EVAL_MASK_SEED,
-    HVTSurvConfig,
-    fit,
-    forward,
-    preprocess_patient,
-)
+from hvtsurv.survmodel import HVTSurvConfig, fit, predict_risks
 from hvtsurv.synthgen import SynthConfig, gen_cohort
 
 synth = SynthConfig(n_patients=80, signal_strength=5.0, censor_rate=0.3,
@@ -41,13 +35,7 @@ for fold, split in enumerate(splits):
         print(f"    epoch {h['epoch']}: train {h['train_loss']:.3f} "
               f"val {h['val_loss']:.3f} val C-Index {h['val_cindex']:.3f}")
 
-    preds = []
-    for i in split.test:
-        rec = records[i]
-        out = forward(preprocess_patient(rec, cfg, EVAL_MASK_SEED, cache), result.params, cfg)
-        preds.append(survstats.RiskPrediction(rec.patient_id, out.risk,
-                                              rec.follow_up.time_months,
-                                              rec.follow_up.censored))
+    preds = predict_risks(records, split.test, result.params, cfg, cache)
     ci = survstats.c_index(preds)
     fold_ci.append(ci)
     print(f"  held-out C-Index: {ci:.3f}")

@@ -35,6 +35,9 @@ from .seeding import rng_for
 PBAG_MAGIC = b"PBAG"
 PBAG_VERSION = 1
 
+# Side length of one patch in level-0 pixels; coordinates are multiples of it.
+PATCH_PIXELS = 256
+
 MANIFEST_COLUMNS = ("patient_id", "wsi_path", "time_months", "censored")
 
 
@@ -43,7 +46,7 @@ class PatchBag:
     """One WSI's patch features plus their integer pixel coordinates.
 
     ``coords`` is (b, 2) int32 with the level-0 top-left corner of each
-    256x256 patch; ``features`` is (b, d) float32. Values are treated as
+    PATCH_PIXELS-square patch; ``features`` is (b, d) float32. Values are treated as
     immutable after construction.
     """
 
@@ -156,9 +159,12 @@ def write_patch_bag(bag: PatchBag, path) -> None:
     write_pbag_arrays(path, bag.coords, bag.features)
 
 
-def read_patch_bag(path) -> PatchBag:
-    """Read a PBAG file. The wsi_id is taken from the file stem."""
-    path = Path(path)
+def read_pbag_arrays(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a PBAG file as (coords (b, 2) int32, features (b, d) float32).
+
+    Only the layout is checked, as written by write_pbag_arrays, so
+    rearranged outputs with repeated padding rows read back too.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 16:
@@ -168,14 +174,18 @@ def read_patch_bag(path) -> PatchBag:
     version, b, d = struct.unpack_from("<III", raw, 4)
     if version != PBAG_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    if b == 0:
-        raise EmptyBagError(f"{path}: bag holds zero patches")
     expected = 16 + b * 8 + b * d * 4
     if len(raw) != expected:
         raise CorruptionError(f"{path}: payload is {len(raw)} bytes, expected {expected}")
     coords = np.frombuffer(raw, dtype="<i4", count=b * 2, offset=16).reshape(b, 2)
     features = np.frombuffer(raw, dtype="<f4", count=b * d, offset=16 + b * 8).reshape(b, d)
-    return PatchBag(wsi_id=path.stem, coords=coords, features=features)
+    return coords, features
+
+
+def read_patch_bag(path) -> PatchBag:
+    """Read a PBAG file as a validated PatchBag; the wsi_id is the file stem."""
+    coords, features = read_pbag_arrays(path)
+    return PatchBag(wsi_id=Path(path).stem, coords=coords, features=features)
 
 
 def write_manifest(path, rows: list[dict]) -> None:

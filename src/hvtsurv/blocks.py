@@ -261,9 +261,6 @@ class AttnPoolParams:
         return cls(U=rng.normal(scale=0.02, size=(1, hidden)),
                    V=rng.normal(scale=0.02, size=(hidden, dim)))
 
-    def array_fields(self) -> list[str]:
-        return ["U", "V"]
-
 
 def attn_pool(h: np.ndarray, params: AttnPoolParams, return_state: bool = False):
     """Softmax-weighted sum of rows; returns (pooled (d,), weights (G,))."""

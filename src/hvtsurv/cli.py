@@ -7,7 +7,9 @@ cross-validated training, ``eval`` produces the survival report, and
 
 Configuration is flat key=value text (an optional ``[run]`` INI header
 is tolerated); command-line flags override file values, which override
-defaults. Every run directory receives a manifest of produced files.
+defaults. The keys are RunConfig's run-level fields plus the model and
+training keys of survmodel.CONFIG_DEFAULTS. Every run directory receives
+a manifest of produced files.
 Exit codes: 0 success, 1 validation/configuration error, 2 runtime or
 numeric error.
 """
@@ -20,7 +22,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,17 +36,19 @@ from .bagio import (
     write_patch_bag,
     write_pbag_arrays,
 )
-from .blocks import BucketParams
 from .errors import ConfigurationError, FormatError, HVTSurvError, NumericError, ValidationError
 from .rearrange import knn_rearrange, raster_order, window_mean_manhattan
 from .seeding import derive_seed
 from .survmodel import (
+    CONFIG_DEFAULTS,
     EVAL_MASK_SEED,
     HVTSurvConfig,
+    config_from_items,
     export_attention,
     fit,
     forward,
     load_checkpoint,
+    predict_risks,
     preprocess_patient,
     save_checkpoint,
 )
@@ -55,12 +59,16 @@ log = logging.getLogger("hvtsurv")
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 
-@dataclass
+@dataclass(slots=True)
 class RunConfig:
-    """Flat run configuration; every key can live in the config file."""
+    """Run-level settings plus the model and training keys set for the run.
+
+    ``model`` maps keys of survmodel.CONFIG_DEFAULTS to the values set in
+    the config file or by flags; the rest keep HVTSurvConfig's defaults.
+    Slots make assigning a model key as an attribute an error.
+    """
 
     seed: int = 0
-    jobs: int = 1
     # cohort synthesis
     n_patients: int = 200
     wsis_min: int = 1
@@ -73,25 +81,11 @@ class RunConfig:
     grid_width: int = 20
     grid_height: int = 20
     hole_density: float = 0.25
-    # model and training
-    model_dim: int = 512
-    window_size: int = 49
-    n_heads: int = 8
-    n_sub_wsis: int = 2
-    n_intervals: int = 4
-    pool_hidden: int = 0
-    ffn_ratio: int = 4
-    bucket_alpha: float = 1.9
-    bucket_beta: float = 7.6
-    bucket_gamma: float = 11.4
-    bucket_lambda: int = 7
-    learning_rate: float = 2e-4
-    weight_decay: float = 1e-5
-    patience: int = 8
-    max_epochs: int = 30
+    # cross-validation
     folds: int = 4
     # attention export
     drop_fraction: float = 0.8
+    model: dict = field(default_factory=dict)
 
     def synth_config(self) -> SynthConfig:
         return SynthConfig(
@@ -106,26 +100,15 @@ class RunConfig:
         )
 
     def model_config(self, input_dim: int) -> HVTSurvConfig:
-        return HVTSurvConfig(
-            input_dim=input_dim,
-            model_dim=self.model_dim,
-            window_size=self.window_size,
-            n_heads=self.n_heads,
-            n_sub_wsis=self.n_sub_wsis,
-            n_intervals=self.n_intervals,
-            pool_hidden=self.pool_hidden,
-            ffn_ratio=self.ffn_ratio,
-            bucket=BucketParams(alpha=self.bucket_alpha, beta=self.bucket_beta,
-                                gamma=self.bucket_gamma, lam=self.bucket_lambda),
-            learning_rate=self.learning_rate,
-            weight_decay=self.weight_decay,
-            patience=self.patience,
-            max_epochs=self.max_epochs,
-            seed=self.seed,
-        )
+        return config_from_items({**CONFIG_DEFAULTS, **self.model,
+                                  "input_dim": input_dim, "seed": self.seed})
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "model"}
+# input_dim comes from the cohort's features and seed is the run seed
+_MODEL_DEFAULTS = {k: v for k, v in CONFIG_DEFAULTS.items()
+                   if k != "input_dim" and k not in _RUN_DEFAULTS}
+CONFIG_KEYS = (*_RUN_DEFAULTS, *_MODEL_DEFAULTS)
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -144,16 +127,18 @@ def parse_config_file(path) -> dict[str, str]:
 
 def build_run_config(file_values: dict, overrides: dict) -> RunConfig:
     """Merge defaults < config file < flags, rejecting unknown keys."""
-    merged: dict = {}
+    rc = RunConfig()
     for source in (file_values, overrides):
         for key, value in source.items():
             if value is None:
                 continue
-            if key not in _FIELD_TYPES:
+            if key in _MODEL_DEFAULTS:
+                rc.model[key] = type(_MODEL_DEFAULTS[key])(value)
+            elif key in _RUN_DEFAULTS:
+                setattr(rc, key, type(_RUN_DEFAULTS[key])(value))
+            else:
                 raise ConfigurationError(f"unknown configuration key {key!r}")
-            caster = float if "float" in str(_FIELD_TYPES[key]) else int
-            merged[key] = caster(value)
-    return RunConfig(**merged)
+    return rc
 
 
 def _prepare_out(out: str, force: bool, marker: str) -> Path:
@@ -226,13 +211,14 @@ def cmd_rearrange(rc: RunConfig, manifest: str, out: str, force: bool,
     re_dir.mkdir(exist_ok=True)
     records = load_manifest(manifest)
     bags = [bag for rec in records for bag in rec.bags]
+    w = rc.model_config(input_dim=bags[0].feature_dim).window_size
 
     produced = []
     report_rows = []
     failures = []
 
     def process(bag):
-        reb = knn_rearrange(bag, rc.window_size)
+        reb = knn_rearrange(bag, w)
         pbag_path = re_dir / f"{bag.wsi_id}.pbag"
         write_pbag_arrays(pbag_path, reb.scaled_coords, reb.features)
         sidecar = re_dir / f"{bag.wsi_id}.windows.csv"
@@ -245,7 +231,7 @@ def cmd_rearrange(rc: RunConfig, manifest: str, out: str, force: bool,
         row = None
         if report:
             row = dict(wsi_id=bag.wsi_id, knn_mean=window_mean_manhattan(reb),
-                       raster_mean=window_mean_manhattan(raster_order(bag, rc.window_size)))
+                       raster_mean=window_mean_manhattan(raster_order(bag, w)))
         return [pbag_path, sidecar], row
 
     def guarded(bag):
@@ -256,11 +242,9 @@ def cmd_rearrange(rc: RunConfig, manifest: str, out: str, force: bool,
             failures.append(bag.wsi_id)
             return [], None
 
-    if rc.jobs > 1:
-        with ThreadPoolExecutor(max_workers=rc.jobs) as pool:
-            results = list(pool.map(guarded, bags))
-    else:
-        results = [guarded(bag) for bag in bags]
+    # one thread per CPU this process may run on; outputs keep the bag order
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+        results = list(pool.map(guarded, bags))
     for paths, row in results:
         produced.extend(paths)
         if row is not None:
@@ -279,7 +263,7 @@ def cmd_rearrange(rc: RunConfig, manifest: str, out: str, force: bool,
     _write_produced(out_dir, "rearrange", produced)
     if failures:
         raise NumericError(f"rearrangement failed for {len(failures)} bags: {failures[:5]}")
-    print(f"rearranged {len(bags)} WSIs at window size {rc.window_size}")
+    print(f"rearranged {len(bags)} WSIs at window size {w}")
     return dict(n_wsis=len(bags), report_rows=report_rows)
 
 
@@ -299,9 +283,9 @@ def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool,
     _require_path(manifest, "manifest")
     out_dir = _prepare_out(out, force, "metrics.csv")
     records = load_manifest(manifest)
-    bin_survival_times(records, rc.n_intervals)
-    splits = stratified_kfold(records, rc.folds, seed=derive_seed(rc.seed, "splits"))
     cfg = rc.model_config(input_dim=records[0].bags[0].feature_dim)
+    bin_survival_times(records, cfg.n_intervals)
+    splits = stratified_kfold(records, rc.folds, seed=derive_seed(rc.seed, "splits"))
 
     produced = []
     histories = {}
@@ -339,18 +323,6 @@ def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool,
     _write_produced(out_dir, "train", produced)
     print(f"trained {len(splits)} folds -> {out_dir}")
     return dict(folds=len(splits), histories=histories)
-
-
-def _fold_predictions(records, indices, params, cfg):
-    cache: dict = {}
-    preds = []
-    for i in indices:
-        rec = records[i]
-        out = forward(preprocess_patient(rec, cfg, EVAL_MASK_SEED, cache), params, cfg)
-        preds.append(survstats.RiskPrediction(
-            patient_id=rec.patient_id, risk=out.risk,
-            time_months=rec.follow_up.time_months, censored=rec.follow_up.censored))
-    return preds
 
 
 def _fold_checkpoints(ckpt_dir: Path, seed: int, feature_dim: int) -> list[Path]:
@@ -402,7 +374,6 @@ def cmd_eval(rc: RunConfig, manifest: str, checkpoint_dir: str, out: str,
     _require_path(checkpoint_dir, "checkpoint directory")
     out_dir = _prepare_out(out, force, "report.csv")
     records = load_manifest(manifest)
-    bin_survival_times(records, rc.n_intervals)
 
     ckpts = _fold_checkpoints(Path(checkpoint_dir), rc.seed,
                               records[0].bags[0].feature_dim)
@@ -414,7 +385,7 @@ def cmd_eval(rc: RunConfig, manifest: str, checkpoint_dir: str, out: str,
     risk_rows = []
     for fold, ckpt_path in enumerate(ckpts):
         params, cfg, _ = load_checkpoint(ckpt_path)
-        preds = _fold_predictions(records, splits[fold].test, params, cfg)
+        preds = predict_risks(records, splits[fold].test, params, cfg)
         fold_ci.append(survstats.c_index(preds))
         low, high = survstats.risk_stratify(preds)
         pooled_low.extend(low)
@@ -479,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value configuration file")
     common.add_argument("--seed", type=int, help="master seed")
-    common.add_argument("--jobs", type=int, help="worker threads for preprocessing")
     common.add_argument("--out", default="hvtsurv-run", help="output directory")
     common.add_argument("--force", action="store_true",
                         help="overwrite existing outputs")
@@ -510,22 +480,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", parents=[common], help="evaluate fold checkpoints")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--checkpoints", required=True, help="directory with fold*.ckpt")
-    p.add_argument("--folds", type=int)
+    p.add_argument("--checkpoints", required=True, dest="checkpoint_dir",
+                   help="directory with fold*.ckpt")
 
     p = sub.add_parser("attn", parents=[common], help="export attention scores")
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--patient", required=True)
+    p.add_argument("--patient", required=True, dest="patient_id")
     p.add_argument("--drop-fraction", type=float, dest="drop_fraction")
 
     return parser
-
-
-_CONFIG_FLAG_KEYS = (
-    "seed", "jobs", "n_patients", "censor_rate", "signal_strength", "window_size",
-    "folds", "max_epochs", "model_dim", "n_heads", "drop_fraction",
-)
 
 
 def run(argv=None) -> int:
@@ -538,7 +502,7 @@ def run(argv=None) -> int:
     if args.config:
         _require_path(args.config, "config file")
     file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {k: getattr(args, k) for k in _CONFIG_FLAG_KEYS if hasattr(args, k)}
+    overrides = {k: v for k, v in vars(args).items() if k in CONFIG_KEYS}
     rc = build_run_config(file_values, overrides)
 
     if args.command == "synth":
@@ -549,9 +513,9 @@ def run(argv=None) -> int:
         cmd_train(rc, args.manifest, args.out, args.force,
                   parallel_folds=args.parallel_folds)
     elif args.command == "eval":
-        cmd_eval(rc, args.manifest, args.checkpoints, args.out, args.force)
+        cmd_eval(rc, args.manifest, args.checkpoint_dir, args.out, args.force)
     elif args.command == "attn":
-        cmd_attn(rc, args.manifest, args.checkpoint, args.patient, args.out, args.force)
+        cmd_attn(rc, args.manifest, args.checkpoint, args.patient_id, args.out, args.force)
     return 0
 
 

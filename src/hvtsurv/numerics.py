@@ -9,8 +9,6 @@ better than 1e-4 relative error.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 from scipy import special
 
@@ -67,23 +65,6 @@ class ParamStore:
             dup.add(name, self._params[name].copy())
             dup._grads[name][...] = self._grads[name]
         return dup
-
-    def checksum(self) -> str:
-        h = hashlib.sha256()
-        for name in self.names():
-            h.update(name.encode())
-            h.update(self._params[name].tobytes())
-        return h.hexdigest()
-
-
-def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul {a.shape} x {b.shape}")
-    return a @ b
-
-
-def matmul_backward(grad: DenseMatrix, a: DenseMatrix, b: DenseMatrix):
-    return grad @ b.T, a.T @ grad
 
 
 def linear(x: DenseMatrix, weight: DenseMatrix, bias: np.ndarray) -> DenseMatrix:
@@ -143,10 +124,6 @@ def gelu_backward(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     return special.expit(x)
-
-
-def sigmoid_backward(grad: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return grad * out * (1.0 - out)
 
 
 def tanh(x: np.ndarray) -> np.ndarray:

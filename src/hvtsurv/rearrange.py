@@ -17,10 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bagio import PatchBag
+from .bagio import PATCH_PIXELS, PatchBag
 from .errors import ConfigurationError
-
-PATCH_PIXELS = 256
 
 
 @dataclass

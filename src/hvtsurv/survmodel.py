@@ -63,7 +63,6 @@ class HVTSurvConfig:
     learning_rate: float = 2e-4
     weight_decay: float = 1e-5
     patience: int = 8
-    batch_size: int = 1
     max_epochs: int = 30
     seed: int = 0
 
@@ -72,7 +71,7 @@ class HVTSurvConfig:
             self.pool_hidden = self.model_dim // 2
         positive = (
             "input_dim", "model_dim", "window_size", "n_heads", "n_sub_wsis",
-            "n_intervals", "pool_hidden", "ffn_ratio", "patience", "batch_size",
+            "n_intervals", "pool_hidden", "ffn_ratio", "patience",
         )
         for name in positive:
             if getattr(self, name) < 1:
@@ -83,6 +82,44 @@ class HVTSurvConfig:
             )
         if self.max_epochs < 0 or self.learning_rate < 0 or self.weight_decay < 0:
             raise ValidationError("training hyperparameters must be non-negative")
+
+
+def _flat_fields() -> dict:
+    """Flat config key -> (nested field name or None, field), in field order.
+
+    BucketParams is flattened under ``bucket_``; ``lam`` keeps the key
+    ``bucket_lambda`` that config files and checkpoints use.
+    """
+    flat = {}
+    for f in fields(HVTSurvConfig):
+        if f.name == "bucket":
+            for b in fields(BucketParams):
+                flat["bucket_lambda" if b.name == "lam" else f"bucket_{b.name}"] = (f.name, b)
+        else:
+            flat[f.name] = (None, f)
+    return flat
+
+
+_FLAT_FIELDS = _flat_fields()
+
+# Every key of the flat config (config files and checkpoints), with its default.
+CONFIG_DEFAULTS = {key: f.default for key, (_, f) in _FLAT_FIELDS.items()}
+
+
+def config_items(cfg: HVTSurvConfig) -> dict:
+    """The config as flat key -> value pairs, keyed like CONFIG_DEFAULTS."""
+    return {key: getattr(getattr(cfg, outer) if outer else cfg, f.name)
+            for key, (outer, f) in _FLAT_FIELDS.items()}
+
+
+def config_from_items(items: dict) -> HVTSurvConfig:
+    """Inverse of config_items. Every key is required (KeyError otherwise);
+    values, strings included, are cast to the type of the field's default.
+    """
+    top, nested = {}, {}
+    for key, (outer, f) in _FLAT_FIELDS.items():
+        (nested if outer else top)[f.name] = type(f.default)(items[key])
+    return HVTSurvConfig(**top, bucket=BucketParams(**nested))
 
 
 @dataclass
@@ -440,6 +477,20 @@ def fit(records: list[PatientRecord], train_idx, val_idx, cfg: HVTSurvConfig,
     return best
 
 
+def predict_risks(records: list[PatientRecord], indices, params: ParamStore, cfg: HVTSurvConfig,
+                  cache: dict | None = None) -> list[survstats.RiskPrediction]:
+    """Risks of records[i], i in indices, under the evaluation mask; ``cache``
+    is preprocess_patient's rearranged-bag cache."""
+    preds = []
+    for i in indices:
+        rec = records[i]
+        out = forward(preprocess_patient(rec, cfg, EVAL_MASK_SEED, cache), params, cfg)
+        preds.append(survstats.RiskPrediction(
+            patient_id=rec.patient_id, risk=out.risk,
+            time_months=rec.follow_up.time_months, censored=rec.follow_up.censored))
+    return preds
+
+
 def export_attention(record: AttentionRecord, drop_fraction: float = 0.8) -> dict:
     """Per-layer patch scores ready for heatmap rendering.
 
@@ -492,54 +543,11 @@ def export_attention(record: AttentionRecord, drop_fraction: float = 0.8) -> dic
     return layers
 
 
-def _config_to_text(cfg: HVTSurvConfig, extra: dict | None = None) -> str:
-    items = {
-        "input_dim": cfg.input_dim, "model_dim": cfg.model_dim,
-        "window_size": cfg.window_size, "n_heads": cfg.n_heads,
-        "n_sub_wsis": cfg.n_sub_wsis, "n_intervals": cfg.n_intervals,
-        "pool_hidden": cfg.pool_hidden, "ffn_ratio": cfg.ffn_ratio,
-        "bucket_alpha": cfg.bucket.alpha, "bucket_beta": cfg.bucket.beta,
-        "bucket_gamma": cfg.bucket.gamma, "bucket_lambda": cfg.bucket.lam,
-        "learning_rate": cfg.learning_rate, "weight_decay": cfg.weight_decay,
-        "patience": cfg.patience, "batch_size": cfg.batch_size,
-        "max_epochs": cfg.max_epochs, "seed": cfg.seed,
-    }
-    if extra:
-        items.update(extra)
-    return "".join(f"{k}={v}\n" for k, v in items.items())
-
-
-def _config_from_text(text: str) -> tuple[HVTSurvConfig, dict[str, str]]:
-    raw: dict[str, str] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        raw[key.strip()] = value.strip()
-    ints = ("input_dim", "model_dim", "window_size", "n_heads", "n_sub_wsis",
-            "n_intervals", "pool_hidden", "ffn_ratio", "patience", "batch_size",
-            "max_epochs", "seed")
-    floats = ("learning_rate", "weight_decay")
-    kwargs = {}
-    extra = {}
-    for key, value in raw.items():
-        if key in ints:
-            kwargs[key] = int(value)
-        elif key in floats:
-            kwargs[key] = float(value)
-        elif key.startswith("bucket_"):
-            continue
-        else:
-            extra[key] = value
-    bucket = BucketParams(alpha=float(raw["bucket_alpha"]), beta=float(raw["bucket_beta"]),
-                          gamma=float(raw["bucket_gamma"]), lam=int(raw["bucket_lambda"]))
-    return HVTSurvConfig(bucket=bucket, **kwargs), extra
-
-
 def save_checkpoint(path, params: ParamStore, cfg: HVTSurvConfig,
                     extra: dict | None = None) -> None:
     """Versioned binary container: config text plus named float32 tensors."""
-    config_blob = _config_to_text(cfg, extra).encode("utf-8")
+    items = {**config_items(cfg), **(extra or {})}
+    config_blob = "".join(f"{k}={v}\n" for k, v in items.items()).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(config_blob)))
@@ -557,7 +565,11 @@ def save_checkpoint(path, params: ParamStore, cfg: HVTSurvConfig,
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (params, config, extra key-values)."""
+    """Read a checkpoint; returns (params, config, extra key-values).
+
+    Every config key must be present; keys that are not config keys come
+    back as the extra string values.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
@@ -567,7 +579,10 @@ def load_checkpoint(path):
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     offset = 12
     try:
-        cfg, extra = _config_from_text(raw[offset : offset + config_len].decode("utf-8"))
+        text = raw[offset : offset + config_len].decode("utf-8")
+        items = dict(line.split("=", 1) for line in text.splitlines())
+        cfg = config_from_items(items)
+        extra = {k: v for k, v in items.items() if k not in CONFIG_DEFAULTS}
         offset += config_len
         (n_params,) = struct.unpack_from("<I", raw, offset)
         offset += 4

@@ -26,11 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .bagio import FollowUp, PatchBag, PatientRecord
+from .bagio import PATCH_PIXELS, FollowUp, PatchBag, PatientRecord
 from .errors import ConfigurationError
 from .seeding import derive_seed, rng_for
 
-PATCH_PIXELS = 256
 
 # Planted-signal constants, tuned so that a cohort at signal_strength=5
 # supports a held-out concordance well above 0.85 for a model that

@@ -31,13 +31,13 @@ from hvtsurv.numerics import finite_diff_check, softmax_rows
 from hvtsurv.rearrange import compare_strategies, knn_rearrange, random_window_mask
 from hvtsurv.seeding import derive_seed
 from hvtsurv.survmodel import (
-    EVAL_MASK_SEED,
     HVTSurvConfig,
     fit,
     forward,
     init_params,
     loss_and_grads,
     nll_loss,
+    predict_risks,
     preprocess_patient,
     survival_from_hazards,
 )
@@ -188,27 +188,16 @@ def test_criterion_5_end_to_end_planted_signal():
     cfg = HVTSurvConfig(input_dim=64, model_dim=32, window_size=16, n_heads=4,
                         n_sub_wsis=2, n_intervals=4, pool_hidden=16,
                         learning_rate=2e-4, weight_decay=1e-5, patience=8,
-                        batch_size=1, max_epochs=30, seed=0)
+                        max_epochs=30, seed=0)
 
     cache = {}
-
-    def predictions(indices, params):
-        preds = []
-        for i in indices:
-            rec = records[i]
-            out = forward(preprocess_patient(rec, cfg, EVAL_MASK_SEED, cache),
-                          params, cfg)
-            preds.append(survstats.RiskPrediction(rec.patient_id, out.risk,
-                                                  rec.follow_up.time_months,
-                                                  rec.follow_up.censored))
-        return preds
 
     fold_ci = []
     pooled_low, pooled_high = [], []
     for fold, split in enumerate(splits):
         result = fit(records, split.train, split.validation, cfg,
                      seed=derive_seed(0, f"fold:{fold}"))
-        preds = predictions(split.test, result.params)
+        preds = predict_risks(records, split.test, result.params, cfg, cache)
         fold_ci.append(survstats.c_index(preds))
         low, high = survstats.risk_stratify(preds)
         pooled_low.extend(low)
@@ -217,7 +206,8 @@ def test_criterion_5_end_to_end_planted_signal():
     _, logrank_p = survstats.logrank_test(pooled_low, pooled_high)
 
     untrained = init_params(cfg, seed=derive_seed(0, "untrained"))
-    untrained_ci = survstats.c_index(predictions(splits[0].test, untrained))
+    untrained_ci = survstats.c_index(
+        predict_risks(records, splits[0].test, untrained, cfg, cache))
 
     elapsed = time.time() - start
     report(5, mean_ci >= 0.85 and logrank_p < 0.05

@@ -1,4 +1,8 @@
+import argparse
 import csv
+import inspect
+import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -46,7 +50,13 @@ class TestConfig:
         assert cli.build_run_config({}, {}).n_patients == 200
 
     def test_window_size_defaults_to_49(self):
-        assert cli.build_run_config({}, {}).window_size == 49
+        assert cli.build_run_config({}, {}).model_config(input_dim=8).window_size == 49
+
+    def test_model_keys_are_not_attributes(self):
+        rc = cli.build_run_config({"window_size": "10"}, {"n_heads": 2})
+        assert rc.model == {"window_size": 10, "n_heads": 2}
+        with pytest.raises(AttributeError):
+            rc.window_size = 12
 
     def test_sectionless_config_file(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -133,19 +143,39 @@ class TestRearrange:
         assert sorted(calls) == sorted(slides)
 
     def test_rearranged_pbag_readable(self, cohort, tmp_path):
-        from hvtsurv.bagio import read_patch_bag
+        from hvtsurv.bagio import read_patch_bag, read_pbag_arrays
+        from hvtsurv.errors import ValidationError
         out = tmp_path / "rearr2"
         assert cli.main(["rearrange", "--manifest", str(cohort / "manifest.csv"),
                          "--out", str(out), "--window-size", "8"]) == 0
-        # rearranged output stays PBAG-parseable apart from its duplicate
-        # padded coordinates, which the strict reader flags
-        from hvtsurv.errors import ValidationError
-        bag_path = next((out / "rearranged").glob("*.pbag"))
-        try:
-            bag = read_patch_bag(bag_path)
-            assert bag.n_patches % 8 == 0
-        except ValidationError:
-            pass
+        paths = sorted((out / "rearranged").glob("*.pbag"))
+        assert paths
+        padded = 0
+        for path in paths:
+            coords, features = read_pbag_arrays(path)
+            side = read_csv(path.with_suffix(".windows.csv"))
+            assert len(side) == len(coords) == len(features) and len(coords) % 8 == 0
+            for i, row in enumerate(side):
+                assert (int(row["row_index"]), int(row["window_index"])) == (i, i // 8)
+                assert (int(row["gx"]), int(row["gy"])) == tuple(coords[i])
+            # padding repeats rows, so the validating reader rejects the file
+            if len(np.unique(coords, axis=0)) < len(coords):
+                padded += 1
+                with pytest.raises(ValidationError, match="duplicate"):
+                    read_patch_bag(path)
+        assert padded
+
+    def test_outputs_do_not_depend_on_cpu_count(self, cohort, tmp_path, monkeypatch):
+        outs = []
+        for n_cpus in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n_cpus: set(range(n)))
+            out = tmp_path / f"cpus{n_cpus}"
+            assert cli.main(["rearrange", "--manifest", str(cohort / "manifest.csv"),
+                             "--out", str(out), "--window-size", "8", "--report"]) == 0
+            outs.append({p.relative_to(out): p.read_bytes()
+                         for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len(outs[0]) > 3
+        assert outs[0] == outs[1]
 
 
 @pytest.fixture(scope="module")
@@ -304,11 +334,8 @@ class TestAttnDropExact:
         data = tmp_path / "data"
         cli.cmd_synth(rc, str(data), force=False)
 
-        rc.model_dim = 16
-        rc.window_size = 10
-        rc.n_heads = 2
+        rc.model.update(model_dim=16, window_size=10, n_heads=2, max_epochs=0)
         rc.folds = 2
-        rc.max_epochs = 0
         train_out = tmp_path / "train"
         cli.cmd_train(rc, str(data / "manifest.csv"), str(train_out), force=False)
         attn_out = tmp_path / "attn"
@@ -320,3 +347,85 @@ class TestAttnDropExact:
             assert len(layer_rows) == 100
             nonzero = [r for r in layer_rows if float(r["score"]) > 0.0]
             assert len(nonzero) == 20
+
+
+class TestConfigReachesCommands:
+    def test_every_model_key_in_config_file_reaches_checkpoint(self, cohort, tmp_path):
+        from hvtsurv.survmodel import CONFIG_DEFAULTS, config_items, load_checkpoint
+        values = dict(model_dim=16, window_size=8, n_heads=2, n_sub_wsis=3, n_intervals=3,
+                      pool_hidden=5, ffn_ratio=2, bucket_alpha=1.5, bucket_beta=6.0,
+                      bucket_gamma=10.0, bucket_lambda=6, learning_rate=0.001,
+                      weight_decay=0.01, patience=3, max_epochs=0)
+        assert set(values) == set(CONFIG_DEFAULTS) - {"input_dim", "seed"}
+        assert all(v != CONFIG_DEFAULTS[k] for k, v in values.items())
+        config = tmp_path / "model.cfg"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        out = tmp_path / "train"
+        assert cli.main(["train", "--manifest", str(cohort / "manifest.csv"), "--out", str(out),
+                         "--config", str(config), "--folds", "2", "--seed", "6"]) == 0
+        _, cfg, extra = load_checkpoint(out / "fold0.ckpt")
+        items = config_items(cfg)
+        assert {k: items[k] for k in values} == values
+        assert (items["seed"], extra["master_seed"]) == (6, "6")
+
+    def test_eval_needs_no_interval_config(self, tmp_path):
+        # eval takes the model from the checkpoints and labels no survival
+        # intervals: this cohort has only 3 distinct uncensored times, so
+        # binning it into the default 4 intervals would fail
+        from hvtsurv.bagio import load_manifest
+        config = tmp_path / "run.cfg"
+        config.write_text("patches_min = 20\npatches_max = 30\nn_intervals = 3\n")
+        data = tmp_path / "data"
+        assert cli.main(synth_args(data, n=8, seed=1,
+                                   extra=["--censor-rate", "0.55", "--config", str(config)])) == 0
+        manifest = str(data / "manifest.csv")
+        records = load_manifest(manifest)
+        assert len({r.follow_up.time_months for r in records if not r.follow_up.censored}) == 3
+        assert cli.main(["train", "--manifest", manifest, "--out", str(tmp_path / "train"),
+                         "--config", str(config), "--folds", "2", "--epochs", "0",
+                         "--seed", "1", *FAST_FLAGS]) == 0
+        assert cli.main(["eval", "--manifest", manifest, "--checkpoints", str(tmp_path / "train"),
+                         "--out", str(tmp_path / "eval"), "--seed", "1"]) == 0
+        assert len(read_csv(tmp_path / "eval" / "risks.csv")) == 8
+
+    def test_every_flag_is_used_by_its_command(self, tmp_path):
+        """Each subcommand flag is a parameter of its cmd_* function or a
+        configuration key that the command reads."""
+        model_keys = set(cli.CONFIG_KEYS) - {f.name for f in fields(cli.RunConfig)}
+        base = cli.build_run_config({}, dict(n_patients=6, patches_min=20, patches_max=30,
+                                            feature_dim=4, folds=2, seed=3))
+        base.model.update(model_dim=8, window_size=4, n_heads=2, max_epochs=0)
+
+        def run_recorded(command, *args):
+            reads = set()
+
+            class Recording(cli.RunConfig):
+                def __getattribute__(self, name):
+                    reads.add(name)
+                    return object.__getattribute__(self, name)
+
+            rc = Recording(**{f.name: getattr(base, f.name) for f in fields(base)})
+            getattr(cli, f"cmd_{command}")(rc, *args)
+            return reads | (model_keys if "model" in reads else set())
+
+        data, manifest = tmp_path / "data", str(tmp_path / "data" / "manifest.csv")
+        reads = {
+            "synth": run_recorded("synth", str(data), False),
+            "rearrange": run_recorded("rearrange", manifest, str(tmp_path / "re"), False, True),
+            "train": run_recorded("train", manifest, str(tmp_path / "train"), False, True),
+            "eval": run_recorded("eval", manifest, str(tmp_path / "train"),
+                                 str(tmp_path / "eval"), False),
+            "attn": run_recorded("attn", manifest, str(tmp_path / "train" / "fold0.ckpt"),
+                                 "P0000", str(tmp_path / "attn"), False),
+        }
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(reads)
+        for command, parser in sub.choices.items():
+            params = set(inspect.signature(getattr(cli, f"cmd_{command}")).parameters)
+            for action in parser._actions:
+                # --config is read by cli.run itself; --seed is shared by every
+                # subcommand so that one command line serves the whole pipeline
+                if action.dest in ("help", "config", "seed"):
+                    continue
+                assert action.dest in params | reads[command], (command, action.option_strings)

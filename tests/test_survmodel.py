@@ -1,14 +1,20 @@
+import struct
+
 import numpy as np
 import pytest
 
 from hvtsurv.bagio import FollowUp, PatchBag, PatientRecord
+from hvtsurv.blocks import BucketParams
 from hvtsurv.errors import FormatError, ValidationError
 from hvtsurv.numerics import finite_diff_check
 from hvtsurv.survmodel import (
+    CONFIG_DEFAULTS,
     EVAL_MASK_SEED,
     AttentionRecord,
     HVTSurvConfig,
     HazardOutput,
+    config_from_items,
+    config_items,
     export_attention,
     fit,
     forward,
@@ -169,7 +175,9 @@ class TestFit:
         result = fit(cohort, train_idx=range(8), val_idx=range(8, 12), cfg=cfg, seed=11)
         from hvtsurv.seeding import derive_seed
         fresh = init_params(cfg, derive_seed(11, "fit-init"))
-        assert result.params.checksum() == fresh.checksum()
+        assert result.params.names() == fresh.names()
+        for name in fresh.names():
+            assert np.array_equal(result.params[name], fresh[name])
 
     def test_determinism(self):
         cohort = self.small_cohort()
@@ -179,7 +187,9 @@ class TestFit:
         )
         a = fit(cohort, range(8), range(8, 12), cfg, seed=13)
         b = fit(cohort, range(8), range(8, 12), cfg, seed=13)
-        assert a.params.checksum() == b.params.checksum()
+        assert a.params.names() == b.params.names()
+        for name in a.params.names():
+            assert np.array_equal(a.params[name], b.params[name])
         assert a.history == b.history
 
     def test_one_epoch_reduces_loss_on_fixed_batch(self):
@@ -370,3 +380,67 @@ class TestCheckpoint:
         path.write_bytes(raw[:-7])
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", list(CONFIG_DEFAULTS))
+    def test_any_missing_key_raises_format_error(self, tmp_path, key):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(MICRO_CFG, seed=6), MICRO_CFG, extra={"fold": 0})
+        path.write_bytes(with_config_text(path.read_bytes(), lambda t: drop_key(t, key)))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_older_format_with_batch_size_line_loads(self, tmp_path):
+        # checkpoints written before batch_size was dropped carry a
+        # batch_size=1 line right after patience
+        params = init_params(EVERY_FIELD_CFG, seed=2)
+        path = tmp_path / "new.ckpt"
+        save_checkpoint(path, params, EVERY_FIELD_CFG, extra={"fold": 1})
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(with_config_text(path.read_bytes(), lambda t: t.replace(
+            "patience=3\n", "patience=3\nbatch_size=1\n")))
+        assert b"batch_size=1" in old.read_bytes()
+        new_params, new_cfg, _ = load_checkpoint(path)
+        old_params, old_cfg, extra = load_checkpoint(old)
+        assert old_cfg == new_cfg == EVERY_FIELD_CFG
+        assert extra["fold"] == "1"
+        assert old_params.names() == new_params.names()
+        for name in new_params.names():
+            assert np.array_equal(old_params[name], new_params[name])
+
+
+EVERY_FIELD_CFG = HVTSurvConfig(
+    input_dim=10, model_dim=12, window_size=5, n_heads=3, n_sub_wsis=3, n_intervals=5,
+    pool_hidden=7, ffn_ratio=2, bucket=BucketParams(alpha=1.2, beta=6.5, gamma=9.75, lam=5),
+    learning_rate=1e-3, weight_decay=0.25, patience=3, max_epochs=4, seed=9,
+)
+
+
+def with_config_text(raw: bytes, edit) -> bytes:
+    """Checkpoint bytes with the config text replaced by edit(text)."""
+    (n,) = struct.unpack_from("<I", raw, 8)
+    blob = edit(raw[12 : 12 + n].decode()).encode()
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n :]
+
+
+def drop_key(text: str, key: str) -> str:
+    kept = [line for line in text.splitlines() if line.partition("=")[0] != key]
+    assert len(kept) == len(text.splitlines()) - 1
+    return "".join(f"{line}\n" for line in kept)
+
+
+class TestConfigItems:
+    def test_every_field_non_default(self):
+        for key, value in config_items(EVERY_FIELD_CFG).items():
+            assert value != CONFIG_DEFAULTS[key], key
+
+    def test_round_trip(self):
+        items = config_items(EVERY_FIELD_CFG)
+        assert config_from_items(items) == EVERY_FIELD_CFG
+        assert config_from_items({k: str(v) for k, v in items.items()}) == EVERY_FIELD_CFG
+
+    def test_on_disk_key_names_and_order(self):
+        # config files and existing checkpoints use these names
+        assert list(config_items(MICRO_CFG)) == list(CONFIG_DEFAULTS) == [
+            "input_dim", "model_dim", "window_size", "n_heads", "n_sub_wsis", "n_intervals",
+            "pool_hidden", "ffn_ratio", "bucket_alpha", "bucket_beta", "bucket_gamma",
+            "bucket_lambda", "learning_rate", "weight_decay", "patience", "max_epochs", "seed"]
