@@ -215,9 +215,7 @@ def cmd_rearrange(rc: RunConfig, manifest: str, out: str, force: bool,
 
     produced = []
     report_rows = []
-    failures = []
-
-    def process(bag):
+    for bag in bags:
         reb = knn_rearrange(bag, w)
         pbag_path = re_dir / f"{bag.wsi_id}.pbag"
         write_pbag_arrays(pbag_path, reb.scaled_coords, reb.features)
@@ -228,27 +226,10 @@ def cmd_rearrange(rc: RunConfig, manifest: str, out: str, force: bool,
             for i in range(reb.features.shape[0]):
                 writer.writerow([i, i // reb.window_size,
                                  reb.scaled_coords[i, 0], reb.scaled_coords[i, 1]])
-        row = None
+        produced += [pbag_path, sidecar]
         if report:
-            row = dict(wsi_id=bag.wsi_id, knn_mean=window_mean_manhattan(reb),
-                       raster_mean=window_mean_manhattan(raster_order(bag, w)))
-        return [pbag_path, sidecar], row
-
-    def guarded(bag):
-        try:
-            return process(bag)
-        except HVTSurvError as exc:
-            log.error("rearrange failed for %s: %s", bag.wsi_id, exc)
-            failures.append(bag.wsi_id)
-            return [], None
-
-    # one thread per CPU this process may run on; outputs keep the bag order
-    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
-        results = list(pool.map(guarded, bags))
-    for paths, row in results:
-        produced.extend(paths)
-        if row is not None:
-            report_rows.append(row)
+            report_rows.append(dict(wsi_id=bag.wsi_id, knn_mean=window_mean_manhattan(reb),
+                                    raster_mean=window_mean_manhattan(raster_order(bag, w))))
 
     if report:
         report_path = out_dir / "window_distance_report.csv"
@@ -261,8 +242,6 @@ def cmd_rearrange(rc: RunConfig, manifest: str, out: str, force: bool,
             )
         produced.append(report_path)
     _write_produced(out_dir, "rearrange", produced)
-    if failures:
-        raise NumericError(f"rearrangement failed for {len(failures)} bags: {failures[:5]}")
     print(f"rearranged {len(bags)} WSIs at window size {w}")
     return dict(n_wsis=len(bags), report_rows=report_rows)
 

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hvtsurv
 from hvtsurv.bagio import PatchBag
 from hvtsurv.errors import ConfigurationError
 from hvtsurv.rearrange import (
@@ -21,6 +29,32 @@ def grid_bag(cells, d=4, seed=0, wsi_id="bag"):
     coords = np.array(sorted(cells)) * 256
     feats = rng.normal(size=(len(cells), d)).astype(np.float32)
     return PatchBag(wsi_id=wsi_id, coords=coords, features=feats)
+
+
+def irregular_bag(n, hole_density, seed, shuffled):
+    """About n cells of an irregular mask, in raster or shuffled row order."""
+    side = int(np.ceil(np.sqrt(n / (1.0 - hole_density)))) + 2
+    cells = np.array(sorted(gen_irregular_mask(side, side, hole_density, seed))[:n])
+    rng = np.random.default_rng(seed)
+    if shuffled:
+        cells = cells[rng.permutation(len(cells))]
+    feats = rng.normal(size=(len(cells), 3)).astype(np.float32)
+    return PatchBag(wsi_id=f"irr{seed}", coords=cells * 256, features=feats)
+
+
+def scan_knn_rearrange(bag: PatchBag, w: int) -> RearrangedBag:
+    """Oracle: every window ranks all remaining rows by the full key."""
+    feats, coords, src = reflect_pad(bag, w)
+    grid = scale_coords(coords)
+    remaining = np.arange(feats.shape[0])
+    order = []
+    while remaining.size:
+        delta = grid[remaining] - grid[remaining[0]]
+        dist2 = delta[:, 0] ** 2 + delta[:, 1] ** 2
+        take = np.lexsort((remaining, grid[remaining, 0], grid[remaining, 1], dist2))[:w]
+        order.extend(remaining[take])
+        remaining = np.delete(remaining, take)
+    return RearrangedBag(bag.wsi_id, feats[order], grid[order], src[order], w)
 
 
 def brute_window_mean(bag: RearrangedBag) -> float:
@@ -143,6 +177,61 @@ class TestKnnRearrange:
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.scaled_coords, b.scaled_coords)
         assert np.array_equal(a.source_rows, b.source_rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 3000), w=st.sampled_from([1, 2, 16, 49]),
+       hole_density=st.floats(0.0, 0.6), seed=st.integers(0, 2**16), shuffled=st.booleans())
+def test_knn_matches_full_scan(n, w, hole_density, seed, shuffled):
+    bag = irregular_bag(n, hole_density, seed, shuffled)
+    got, want = knn_rearrange(bag, w), scan_knn_rearrange(bag, w)
+    assert np.array_equal(got.source_rows, want.source_rows)
+    assert np.array_equal(got.scaled_coords, want.scaled_coords)
+    assert np.array_equal(got.features, want.features)
+
+
+@pytest.mark.parametrize("n, w, seed, shuffled", [
+    (600, 16, 1, False), (1500, 49, 2, True), (2500, 2, 3, True), (2000, 49, 4, False)])
+def test_knn_window_contract_on_large_bags(n, w, seed, shuffled):
+    """Each window starts at the earliest remaining padded position, holds
+    its rows in ascending (d2, gy, gx, position) order, and no row left
+    over has a smaller key than the window's last row."""
+    bag = irregular_bag(n, 0.25, seed, shuffled)
+    assert bag.n_patches > 512
+    out = knn_rearrange(bag, w)
+    _, _, pad_src = reflect_pad(bag, w)
+    # copies of one source row take their padded positions in output order
+    pos = np.empty(len(pad_src), dtype=np.int64)
+    pos[np.argsort(out.source_rows, kind="stable")] = np.argsort(pad_src, kind="stable")
+    assert np.array_equal(pad_src[pos], out.source_rows)
+    grid = scale_coords(bag.coords)[pad_src]
+    remaining = np.ones(len(pad_src), dtype=bool)
+
+    def ranked_keys(anchor, rows):
+        """(d2, gy, gx, position) of each row, and the rows' ranks under it."""
+        d = grid[rows] - grid[anchor]
+        key = np.stack([(d**2).sum(axis=1), grid[rows, 1], grid[rows, 0], rows], axis=1)
+        return key, np.lexsort(key.T[::-1])
+
+    for k in range(out.n_windows):
+        rows = pos[out.window(k)]
+        assert rows[0] == np.flatnonzero(remaining)[0]
+        key, rank = ranked_keys(rows[0], rows)
+        assert np.array_equal(rank, np.arange(w))
+        remaining[rows] = False
+        rest = np.flatnonzero(remaining)
+        if rest.size:
+            rest_key, rest_rank = ranked_keys(rows[0], rest)
+            assert tuple(rest_key[rest_rank[0]]) > tuple(key[-1])
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    src = str(Path(hvtsurv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, hvtsurv.cli; print('scipy.spatial' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestRasterOrder:
