@@ -124,7 +124,7 @@ def knn_rearrange(bag: PatchBag, w: int) -> RearrangedBag:
     alive = np.ones(length, dtype=bool)
     out = 0
     if length > _SCAN_ROWS:
-        # imported here: scipy.spatial adds 0.12 s to every process importing this module
+        # imported here: scipy.spatial adds about 0.1 s to every process that loads it
         from scipy.spatial import cKDTree
 
         tree = cKDTree(grid)
