@@ -68,11 +68,8 @@ print("pooling weights:", np.round(weights, 3), "sum", weights.sum(), "\n")
 # floor
 for name in ("wq", "wk", "wv", "wo", "ffn_w1", "ffn_w2"):
     getattr(params, name)[...] *= 10.0
-store = ParamStore()
-store.add("x", x)
-store.add("bias_table", table * 50.0)
-for name in params.array_fields():
-    store.add(name, getattr(params, name))
+store = ParamStore({"x": x, "bias_table": table * 50.0,
+                    **{name: getattr(params, name) for name in params.array_fields()}})
 probe = rng.normal(size=(8, 16))
 
 

@@ -68,7 +68,8 @@ class PatchBag:
             )
         if np.any(self.coords < 0):
             raise ValidationError(f"bag {self.wsi_id!r} has negative coordinates")
-        if len(np.unique(self.coords, axis=0)) != b:
+        # one int64 key per (x, y) pair; both are non-negative int32s
+        if np.unique(self.coords[:, 0].astype(np.int64) << 32 | self.coords[:, 1]).size != b:
             raise ValidationError(f"bag {self.wsi_id!r} has duplicate coordinate pairs")
 
     @property

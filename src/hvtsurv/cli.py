@@ -246,16 +246,6 @@ def cmd_rearrange(rc: RunConfig, manifest: str, out: str, force: bool,
     return dict(n_wsis=len(bags), report_rows=report_rows)
 
 
-def _train_one_fold(fold, split, records, cfg, rc, out_dir):
-    result = fit(records, split.train, split.validation, cfg,
-                 seed=derive_seed(rc.seed, f"fold:{fold}"))
-    ckpt = out_dir / f"fold{fold}.ckpt"
-    save_checkpoint(ckpt, result.params, cfg,
-                    extra={"fold": fold, "master_seed": rc.seed, "folds": rc.folds,
-                           "best_epoch": result.best_epoch})
-    return result, ckpt
-
-
 def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool,
               parallel_folds: bool = False) -> dict:
     """Cross-validated training; emits one checkpoint per fold + metrics."""
@@ -266,29 +256,30 @@ def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool,
     bin_survival_times(records, cfg.n_intervals)
     splits = stratified_kfold(records, rc.folds, seed=derive_seed(rc.seed, "splits"))
 
+    def train_fold(fold):
+        try:
+            result = fit(records, splits[fold].train, splits[fold].validation, cfg,
+                         seed=derive_seed(rc.seed, f"fold:{fold}"))
+        except NumericError as exc:
+            raise NumericError(f"fold {fold}: {exc}") from exc
+        ckpt = out_dir / f"fold{fold}.ckpt"
+        save_checkpoint(ckpt, result.params, cfg,
+                        extra={"fold": fold, "master_seed": rc.seed, "folds": rc.folds,
+                               "best_epoch": result.best_epoch})
+        return result, ckpt
+
     produced = []
     histories = {}
     if parallel_folds:
         with ThreadPoolExecutor(max_workers=len(splits)) as pool:
-            futures = {fold: pool.submit(_train_one_fold, fold, split, records, cfg, rc, out_dir)
-                       for fold, split in enumerate(splits)}
-            for fold, future in futures.items():
-                try:
-                    result, ckpt = future.result()
-                except NumericError as exc:
-                    raise NumericError(f"fold {fold}: {exc}") from exc
-                histories[fold] = result.history
-                produced.append(ckpt)
+            results = list(pool.map(train_fold, range(len(splits))))
     else:
-        for fold, split in enumerate(splits):
-            try:
-                result, ckpt = _train_one_fold(fold, split, records, cfg, rc, out_dir)
-            except NumericError as exc:
-                raise NumericError(f"fold {fold}: {exc}") from exc
-            histories[fold] = result.history
-            produced.append(ckpt)
-            log.info("fold %d: %d epochs, final val loss %s", fold, len(result.history),
-                     result.history[-1]["val_loss"] if result.history else "n/a")
+        results = map(train_fold, range(len(splits)))
+    for fold, (result, ckpt) in enumerate(results):
+        histories[fold] = result.history
+        produced.append(ckpt)
+        log.info("fold %d: %d epochs, final val loss %s", fold, len(result.history),
+                 result.history[-1]["val_loss"] if result.history else "n/a")
 
     metrics = out_dir / "metrics.csv"
     with open(metrics, "w", newline="") as fh:

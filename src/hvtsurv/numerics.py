@@ -9,6 +9,8 @@ better than 1e-4 relative error.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import special
 
@@ -21,49 +23,47 @@ DenseMatrix = np.ndarray
 
 
 class ParamStore:
-    """Named parameters with same-shaped gradient buffers.
+    """Named parameters and gradients as reshaped views of two flat buffers.
 
-    Parameter arrays are updated in place by optimizers so views handed
-    out at registration time stay valid. Gradient accumulation is
-    single-writer; do not share one store across concurrent backwards.
+    ``flat`` holds every parameter and ``grad_flat`` every gradient, both
+    laid out by name in sorted order, so optimizers that update ``flat`` in
+    place keep every view valid. Gradient accumulation is single-writer;
+    do not share one store across concurrent backwards.
     """
 
-    def __init__(self):
-        self._params: dict[str, np.ndarray] = {}
-        self._grads: dict[str, np.ndarray] = {}
-
-    def add(self, name: str, value) -> np.ndarray:
-        if name in self._params:
-            raise ValidationError(f"duplicate parameter name {name!r}")
-        arr = np.array(value, dtype=np.float64)
-        self._params[name] = arr
-        self._grads[name] = np.zeros_like(arr)
-        return arr
+    def __init__(self, arrays: dict):
+        self._layout: dict[str, tuple[slice, tuple]] = {}
+        size = 0
+        for name in sorted(arrays):
+            shape = np.shape(arrays[name])
+            self._layout[name] = (slice(size, size + math.prod(shape)), shape)
+            size += math.prod(shape)
+        self.flat = np.empty(size)
+        self.grad_flat = np.zeros(size)
+        for name, value in arrays.items():
+            self[name][...] = value
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
+        span, shape = self._layout[name]
+        return self.flat[span].reshape(shape)
 
     def names(self) -> list[str]:
-        return sorted(self._params)
+        return list(self._layout)
 
     def grad(self, name: str) -> np.ndarray:
-        return self._grads[name]
+        span, shape = self._layout[name]
+        return self.grad_flat[span].reshape(shape)
 
     def add_grad(self, name: str, g: np.ndarray) -> None:
-        self._grads[name] += g
+        view = self.grad(name)
+        view += g
 
     def zero_grads(self) -> None:
-        for g in self._grads.values():
-            g[...] = 0.0
+        self.grad_flat.fill(0.0)
 
     def copy(self) -> "ParamStore":
-        dup = ParamStore()
-        for name in self.names():
-            dup.add(name, self._params[name].copy())
-            dup._grads[name][...] = self._grads[name]
+        dup = object.__new__(ParamStore)
+        dup._layout, dup.flat, dup.grad_flat = self._layout, self.flat.copy(), self.grad_flat.copy()
         return dup
 
 
@@ -146,9 +146,8 @@ def finite_diff_check(f, params: ParamStore, eps: float = 1e-5) -> float:
         raise ValidationError(f"eps must be positive, got {eps}")
     worst = 0.0
     for name in params.names():
-        arr = params[name]
-        analytic = params.grad(name)
-        flat = arr.reshape(-1)
+        flat = params[name].reshape(-1)
+        analytic = params.grad(name).reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
@@ -159,7 +158,7 @@ def finite_diff_check(f, params: ParamStore, eps: float = 1e-5) -> float:
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 raise NumericError(f"non-finite loss while perturbing {name}[{i}]")
             numeric = (f_plus - f_minus) / (2.0 * eps)
-            a = analytic.reshape(-1)[i]
+            a = analytic[i]
             rel = abs(numeric - a) / max(abs(numeric), abs(a), 1e-8)
             worst = max(worst, rel)
     return worst

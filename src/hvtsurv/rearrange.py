@@ -70,28 +70,25 @@ def scale_coords(coords) -> np.ndarray:
     return g - g.min(axis=0) + 1
 
 
-def _pad_amounts(b: int, w: int) -> tuple[int, int]:
-    pad = -b % w
-    left = pad // 2
-    return left, pad - left
-
-
-def reflect_pad(bag: PatchBag, w: int):
-    """Pad features and coordinates to the next multiple of w.
+def pad_rows(b: int, w: int) -> np.ndarray:
+    """Row indices that pad b rows to the next multiple of w.
 
     Reflection mirrors the sequence without repeating the edge element;
     when the pad is at least as long as the bag (or the bag has a single
-    patch) edge replication is used instead, since pure reflection is
-    undefined there. Returns (features, pixel coords, source row index).
+    row) edge replication is used instead, since pure reflection is
+    undefined there. The pad is split evenly, any odd row going last.
     """
-    b = bag.n_patches
-    left, right = _pad_amounts(b, w)
-    mode = "edge" if (b == 1 or left + right >= b) else "reflect"
-    if left + right == 0:
-        idx = np.arange(b)
-    else:
-        idx = np.pad(np.arange(b), (left, right), mode=mode)
-    return bag.features[idx], bag.coords[idx], idx.astype(np.int64)
+    pad = -b % w
+    if pad == 0:
+        return np.arange(b, dtype=np.int64)
+    mode = "edge" if (b == 1 or pad >= b) else "reflect"
+    return np.pad(np.arange(b, dtype=np.int64), (pad // 2, pad - pad // 2), mode=mode)
+
+
+def reflect_pad(bag: PatchBag, w: int):
+    """The bag padded by pad_rows: (features, pixel coords, source row index)."""
+    idx = pad_rows(bag.n_patches, w)
+    return bag.features[idx], bag.coords[idx], idx
 
 
 # Below this many remaining rows a full scan per window is cheaper than a
@@ -175,17 +172,9 @@ def raster_order(bag: PatchBag, w: int) -> RearrangedBag:
         raise ConfigurationError(f"window size must be >= 1, got {w}")
     grid = scale_coords(bag.coords)
     order = np.lexsort((np.arange(bag.n_patches), grid[:, 0], grid[:, 1]))
-    sorted_bag = PatchBag(
-        wsi_id=bag.wsi_id, coords=bag.coords[order], features=bag.features[order]
-    )
-    feats, coords, src = reflect_pad(sorted_bag, w)
-    return RearrangedBag(
-        wsi_id=bag.wsi_id,
-        features=feats,
-        scaled_coords=scale_coords(coords),
-        source_rows=order[src].astype(np.int64),
-        window_size=w,
-    )
+    rows = order[pad_rows(bag.n_patches, w)]
+    return RearrangedBag(wsi_id=bag.wsi_id, features=bag.features[rows],
+                         scaled_coords=grid[rows], source_rows=rows, window_size=w)
 
 
 def random_window_mask(bag: RearrangedBag, m: int, seed: int) -> list[SubWsiBag]:

@@ -151,8 +151,28 @@ class AttentionRecord:
     pool_coords: np.ndarray
 
 
+def param_layout(cfg: HVTSurvConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Every model parameter as name -> (shape, init), in draw order. ``init``
+    is "zeros", "ones", "normal" (std ``scale`` of init_params) or "block":
+    an attention-block weight, drawn with std 0.02, then scaled by scale/0.02.
+    """
+    d, hidden = cfg.model_dim, cfg.ffn_ratio * cfg.model_dim
+    block = {"ln1_gamma": ((d,), "ones"), "ln1_beta": ((d,), "zeros"),
+             **{n: ((d, d), "block") for n in ("wq", "wk", "wv", "wo")},
+             "ln2_gamma": ((d,), "ones"), "ln2_beta": ((d,), "zeros"),
+             "ffn_w1": ((d, hidden), "block"), "ffn_b1": ((hidden,), "zeros"),
+             "ffn_w2": ((hidden, d), "block"), "ffn_b2": ((d,), "zeros")}
+    return {
+        "reduce.weight": ((cfg.input_dim, d), "normal"), "reduce.bias": ((d,), "zeros"),
+        **{f"{prefix}.{n}": v for prefix in ("local", "shuffle") for n, v in block.items()},
+        "local.bias_table": ((cfg.bucket.table_rows, cfg.n_heads), "normal"),
+        "pool.V": ((cfg.pool_hidden, d), "normal"), "pool.U": ((1, cfg.pool_hidden), "normal"),
+        "head.weight": ((d, cfg.n_intervals), "normal"), "head.bias": ((cfg.n_intervals,), "zeros"),
+    }
+
+
 def init_params(cfg: HVTSurvConfig, seed: int, scale: float = 0.02) -> ParamStore:
-    """Fresh parameter store with all learnable weights registered.
+    """Fresh parameter store holding every tensor of param_layout(cfg).
 
     ``scale`` is the weight-init standard deviation. Training uses the
     small default; gradient checks pass a larger value so the attention
@@ -160,23 +180,11 @@ def init_params(cfg: HVTSurvConfig, seed: int, scale: float = 0.02) -> ParamStor
     below the finite-difference noise floor.
     """
     rng = rng_for(seed, "init")
-    store = ParamStore()
-    store.add("reduce.weight", rng.normal(scale=scale, size=(cfg.input_dim, cfg.model_dim)))
-    store.add("reduce.bias", np.zeros(cfg.model_dim))
-    for prefix in ("local", "shuffle"):
-        block = WindowBlockParams.init(cfg.model_dim, cfg.n_heads, rng, cfg.ffn_ratio)
-        for name in block.array_fields():
-            value = getattr(block, name)
-            if name.startswith(("wq", "wk", "wv", "wo", "ffn_w")):
-                value = value * (scale / 0.02)
-            store.add(f"{prefix}.{name}", value)
-    store.add("local.bias_table",
-              rng.normal(scale=scale, size=(cfg.bucket.table_rows, cfg.n_heads)))
-    store.add("pool.V", rng.normal(scale=scale, size=(cfg.pool_hidden, cfg.model_dim)))
-    store.add("pool.U", rng.normal(scale=scale, size=(1, cfg.pool_hidden)))
-    store.add("head.weight", rng.normal(scale=scale, size=(cfg.model_dim, cfg.n_intervals)))
-    store.add("head.bias", np.zeros(cfg.n_intervals))
-    return store
+    draw = {"zeros": np.zeros, "ones": np.ones,
+            "normal": lambda shape: rng.normal(scale=scale, size=shape),
+            "block": lambda shape: rng.normal(scale=0.02, size=shape) * (scale / 0.02)}
+    return ParamStore({name: draw[init](shape)
+                       for name, (shape, init) in param_layout(cfg).items()})
 
 
 def _block_view(store: ParamStore, prefix: str, n_heads: int) -> WindowBlockParams:
@@ -365,8 +373,12 @@ def loss_and_grads(sub_bags: list[SubWsiBag], label: int, censored: int,
     return loss
 
 
+# 2 MB step temporaries are reused from the heap; whole-buffer ones at paper scale page-fault.
+ADAMW_SLICE = 1 << 18
+
+
 class AdamW:
-    """Adam with decoupled weight decay, applied in place."""
+    """Adam with decoupled weight decay, applied in place to ``params.flat``."""
 
     def __init__(self, params: ParamStore, lr: float, weight_decay: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -375,23 +387,22 @@ class AdamW:
         self.weight_decay = weight_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {n: np.zeros_like(params[n]) for n in params.names()}
-        self.v = {n: np.zeros_like(params[n]) for n in params.names()}
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
 
     def step(self) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name in self.params.names():
-            g = self.params.grad(name)
-            m = self.m[name]
-            v = self.v[name]
+        for start in range(0, self.m.size, ADAMW_SLICE):
+            span = slice(start, start + ADAMW_SLICE)
+            g, m, v, p = (self.params.grad_flat[span], self.m[span], self.v[span],
+                          self.params.flat[span])
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p = self.params[name]
             p -= self.lr * (update + self.weight_decay * p)
 
 
@@ -568,7 +579,8 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (params, config, extra key-values).
 
     Every config key must be present; keys that are not config keys come
-    back as the extra string values.
+    back as the extra string values. The tensors must be exactly those of
+    param_layout(config), each once and with its layout shape.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -583,10 +595,11 @@ def load_checkpoint(path):
         items = dict(line.split("=", 1) for line in text.splitlines())
         cfg = config_from_items(items)
         extra = {k: v for k, v in items.items() if k not in CONFIG_DEFAULTS}
+        layout = param_layout(cfg)
         offset += config_len
         (n_params,) = struct.unpack_from("<I", raw, offset)
         offset += 4
-        store = ParamStore()
+        arrays = {}
         for _ in range(n_params):
             (name_len,) = struct.unpack_from("<H", raw, offset)
             offset += 2
@@ -596,12 +609,18 @@ def load_checkpoint(path):
             offset += 1
             shape = struct.unpack_from(f"<{ndim}I", raw, offset)
             offset += 4 * ndim
+            expected = layout[name][0] if name in layout else "no such tensor"
+            if name in arrays or shape != expected:
+                raise FormatError(f"{path}: tensor {name!r} of shape {shape} is repeated or "
+                                  f"unlike the config's layout ({expected})")
             count = int(np.prod(shape)) if ndim else 1
-            values = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
+            arrays[name] = np.frombuffer(raw, "<f4", count, offset).reshape(shape)
             offset += 4 * count
-            store.add(name, values.reshape(shape).astype(np.float64))
     except (struct.error, UnicodeDecodeError, KeyError, ValueError) as exc:
         raise FormatError(f"{path}: corrupt checkpoint ({exc})") from exc
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
-    return store, cfg, extra
+    missing = sorted(layout.keys() - arrays.keys())
+    if missing:
+        raise FormatError(f"{path}: tensors of the config missing: {missing}")
+    return ParamStore(arrays), cfg, extra

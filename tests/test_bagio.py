@@ -94,8 +94,15 @@ class TestPatchBag:
             read_patch_bag(path)
 
     def test_duplicate_coords_rejected(self):
-        with pytest.raises(ValidationError):
-            PatchBag("dup", coords=np.array([[0, 0], [0, 0]]), features=np.zeros((2, 2)))
+        top = 2**31 - 1
+        for coords in ([[0, 0], [0, 0]], [[1, 2], [5, 5], [1, 2]], [[top, 7], [3, 3], [top, 7]],
+                       [[top, top], [top, top]]):
+            with pytest.raises(ValidationError):
+                PatchBag("dup", coords=np.array(coords), features=np.zeros((len(coords), 2)))
+        for coords in ([[1, 2], [2, 1]], [[top, 0], [0, top]], [[top, top], [top, top - 1]],
+                       [[top - 1, top], [top, top]], [[0, 1], [1, 0], [top, 1], [1, top]]):
+            bag = PatchBag("ok", coords=np.array(coords), features=np.zeros((len(coords), 2)))
+            assert bag.n_patches == len(coords)
 
     def test_negative_coords_rejected(self):
         with pytest.raises(ValidationError):

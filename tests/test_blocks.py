@@ -128,12 +128,10 @@ def block_fd_error(w=4, d=8, heads=2, seed=0, with_bias=True, shuffle_len=None):
     perm = spatial_shuffle(length, w)
     inv = inverse_permutation(perm)
 
-    store = ParamStore()
-    store.add("x", x)
-    for name in params.array_fields():
-        store.add(name, getattr(params, name))
+    arrays = {"x": x, **{name: getattr(params, name) for name in params.array_fields()}}
     if with_bias:
-        store.add("bias_table", table)
+        arrays["bias_table"] = table
+    store = ParamStore(arrays)
 
     def rebuild(ps):
         pr = WindowBlockParams(**{n: ps[n] for n in params.array_fields()}, n_heads=heads)
@@ -327,10 +325,7 @@ class TestAttnPool:
         pool = AttnPoolParams.init(8, 5, local_rng)
         h = local_rng.normal(size=(6, 8))
         probe = local_rng.normal(size=8)
-        store = ParamStore()
-        store.add("h", h)
-        store.add("U", pool.U)
-        store.add("V", pool.V)
+        store = ParamStore({"h": h, "U": pool.U, "V": pool.V})
 
         def f(ps):
             pooled, _ = attn_pool(ps["h"], AttnPoolParams(U=ps["U"], V=ps["V"]))

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import inspect
+import logging
 import os
 from dataclasses import fields
 
@@ -244,6 +245,16 @@ class TestTrainEvalAttn:
         for k in range(3):
             assert ((out / f"fold{k}.ckpt").read_bytes()
                     == (trained / f"fold{k}.ckpt").read_bytes())
+
+    def test_parallel_folds_log_each_fold(self, cohort, tmp_path, caplog):
+        args = ["train", "--manifest", str(cohort / "manifest.csv"),
+                "--out", str(tmp_path / "par"), "--folds", "3", "--epochs", "1",
+                "--seed", "0", "--parallel-folds", *FAST_FLAGS]
+        with caplog.at_level(logging.INFO, logger="hvtsurv"):
+            assert cli.main(args) == 0
+        folds = [r.getMessage().partition(":")[0] for r in caplog.records
+                 if r.getMessage().startswith("fold ")]
+        assert folds == ["fold 0", "fold 1", "fold 2"]
 
     def test_missing_manifest_is_validation_error(self, trained, tmp_path):
         args = ["eval", "--manifest", str(tmp_path / "nope.csv"),

@@ -32,9 +32,7 @@ def check_op(make_inputs, forward, backward, tol=1e-5, trials=5):
         out = forward(*inputs)
         probe = rng.normal(size=out.shape)
 
-        store = ParamStore()
-        for i, x in enumerate(inputs):
-            store.add(f"x{i}", x)
+        store = ParamStore({f"x{i}": x for i, x in enumerate(inputs)})
         grads = backward(probe, *[store[f"x{i}"] for i in range(len(inputs))])
         if not isinstance(grads, tuple):
             grads = (grads,)
@@ -113,16 +111,14 @@ class TestElementwise:
 
 class TestFiniteDiffCheck:
     def test_quadratic_exact(self):
-        store = ParamStore()
-        theta = store.add("theta", rand(3, 3))
-        store.add_grad("theta", 2.0 * theta)
+        store = ParamStore({"theta": rand(3, 3)})
+        store.add_grad("theta", 2.0 * store["theta"])
         err = finite_diff_check(lambda p: float(np.sum(p["theta"] ** 2)), store)
         assert err < 1e-9
 
     def test_detects_corrupted_gradient(self):
-        store = ParamStore()
-        theta = store.add("theta", rand(2, 2))
-        bad = 2.0 * theta
+        store = ParamStore({"theta": rand(2, 2)})
+        bad = 2.0 * store["theta"]
         bad[0, 0] *= 1.5
         store.add_grad("theta", bad)
         err = finite_diff_check(lambda p: float(np.sum(p["theta"] ** 2)), store)
@@ -130,25 +126,46 @@ class TestFiniteDiffCheck:
 
     def test_bad_eps(self):
         with pytest.raises(ValidationError):
-            finite_diff_check(lambda p: 0.0, ParamStore(), eps=0.0)
+            finite_diff_check(lambda p: 0.0, ParamStore({}), eps=0.0)
 
 
 class TestParamStore:
-    def test_duplicate_name_rejected(self):
-        store = ParamStore()
-        store.add("w", rand(2, 2))
-        with pytest.raises(ValidationError):
-            store.add("w", rand(2, 2))
-
     def test_grad_buffers_aligned(self):
-        store = ParamStore()
-        w = store.add("w", rand(3, 4))
-        assert store.grad("w").shape == w.shape
+        store = ParamStore({"w": rand(3, 4)})
+        assert store.grad("w").shape == store["w"].shape
         assert np.all(store.grad("w") == 0.0)
 
+    def test_views_alias_flat_buffers_in_sorted_order(self):
+        arrays = {"b": rand(3), "a": rand(2, 2), "c": rand(1)}
+        store = ParamStore(arrays)
+        assert store.names() == ["a", "b", "c"]
+        assert np.array_equal(store.flat, np.concatenate([arrays[n].ravel() for n in "abc"]))
+        store.flat[:] = np.arange(8.0)
+        store.grad_flat[:] = -np.arange(8.0)
+        assert np.array_equal(store["a"], [[0.0, 1.0], [2.0, 3.0]])
+        assert np.array_equal(store["b"], [4.0, 5.0, 6.0])
+        assert np.array_equal(store.grad("c"), [-7.0])
+        store["b"][1] = 50.0
+        store.add_grad("a", np.ones((2, 2)))
+        assert store.flat[5] == 50.0
+        assert np.array_equal(store.grad_flat[:4], [1.0, 0.0, -1.0, -2.0])
+
     def test_copy_is_deep(self):
-        store = ParamStore()
-        store.add("w", np.ones((2, 2)))
+        store = ParamStore({"w": np.ones((2, 2)), "v": np.ones(3)})
+        store.add_grad("w", np.full((2, 2), 3.0))
         dup = store.copy()
         store["w"][0, 0] = 5.0
+        store.add_grad("w", np.ones((2, 2)))
+        dup.add_grad("v", np.ones(3))
         assert dup["w"][0, 0] == 1.0
+        assert np.all(dup.grad("w") == 3.0)
+        assert np.all(store.grad("v") == 0.0)
+        assert dup.names() == store.names()
+
+    def test_zero_grads_clears_every_view(self):
+        store = ParamStore({"a": rand(2, 3), "b": rand(4), "c": rand(1)})
+        for name in store.names():
+            store.add_grad(name, rand(*store[name].shape))
+        store.zero_grads()
+        for name in store.names():
+            assert np.all(store.grad(name) == 0.0)

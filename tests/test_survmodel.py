@@ -1,15 +1,27 @@
+import csv
 import struct
 
 import numpy as np
 import pytest
 
-from hvtsurv.bagio import FollowUp, PatchBag, PatientRecord
+from hvtsurv import cli
+from hvtsurv.bagio import (
+    FollowUp,
+    PatchBag,
+    PatientRecord,
+    bin_survival_times,
+    load_manifest,
+    stratified_kfold,
+)
 from hvtsurv.blocks import BucketParams
 from hvtsurv.errors import FormatError, ValidationError
-from hvtsurv.numerics import finite_diff_check
+from hvtsurv.numerics import ParamStore, finite_diff_check
+from hvtsurv.seeding import derive_seed
 from hvtsurv.survmodel import (
+    ADAMW_SLICE,
     CONFIG_DEFAULTS,
     EVAL_MASK_SEED,
+    AdamW,
     AttentionRecord,
     HVTSurvConfig,
     HazardOutput,
@@ -22,6 +34,7 @@ from hvtsurv.survmodel import (
     load_checkpoint,
     loss_and_grads,
     nll_loss,
+    predict_risks,
     preprocess_patient,
     save_checkpoint,
     survival_from_hazards,
@@ -173,7 +186,6 @@ class TestFit:
             n_intervals=4, pool_hidden=8, learning_rate=0.0, max_epochs=1, seed=0,
         )
         result = fit(cohort, train_idx=range(8), val_idx=range(8, 12), cfg=cfg, seed=11)
-        from hvtsurv.seeding import derive_seed
         fresh = init_params(cfg, derive_seed(11, "fit-init"))
         assert result.params.names() == fresh.names()
         for name in fresh.names():
@@ -199,7 +211,6 @@ class TestFit:
         cfg = MICRO_CFG
         subs = preprocess_patient(patient, cfg, 7)
         params = init_params(cfg, seed=4)
-        from hvtsurv.survmodel import AdamW
         opt = AdamW(params, lr=1e-3, weight_decay=0.0)
         losses = []
         for _ in range(8):
@@ -351,6 +362,66 @@ class TestPlantedAttentionConcentration:
             assert max(sig, bg) > 5 * min(sig, bg)
 
 
+class PerTensorAdamW:
+    """AdamW as a Python loop over separately stored tensors: the oracle
+    for the flat, sliced step."""
+
+    def __init__(self, params: dict, grads: dict, lr: float, weight_decay: float,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.params, self.grads = params, grads
+        self.lr, self.weight_decay = lr, weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = {n: np.zeros_like(p) for n, p in params.items()}
+        self.v = {n: np.zeros_like(p) for n, p in params.items()}
+
+    def step(self) -> None:
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for name in sorted(self.params):
+            g = self.grads[name]
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p = self.params[name]
+            p -= self.lr * (update + self.weight_decay * p)
+
+
+class TestAdamW:
+    def test_flat_step_matches_per_tensor_loop_bitwise(self):
+        # "b" and "e" cross slice boundaries, "a" and "d" hold one element
+        local_rng = np.random.default_rng(21)
+        shapes = {"a": (1,), "b": (300, 1000), "c": (7, 3), "d": (1,),
+                  "e": (ADAMW_SLICE - 5,)}
+        start = {n: local_rng.normal(size=s) for n, s in shapes.items()}
+        store = ParamStore(start)
+        assert store.flat.size > 2 * ADAMW_SLICE
+        oracle = PerTensorAdamW({n: a.copy() for n, a in start.items()},
+                                {n: np.zeros(s) for n, s in shapes.items()},
+                                lr=1e-2, weight_decay=0.1)
+        opt = AdamW(store, lr=1e-2, weight_decay=0.1)
+        for step in range(20):
+            store.zero_grads()
+            for name, shape in shapes.items():
+                g = local_rng.normal(scale=10.0 ** (step % 5 - 2), size=shape)
+                g[local_rng.random(shape) < 0.1] = 0.0
+                store.add_grad(name, g)
+                oracle.grads[name][...] = g
+            opt.step()
+            oracle.step()
+        names = sorted(shapes)
+        assert store.names() == names
+        for name in names:
+            assert np.array_equal(store[name], oracle.params[name]), name
+        assert np.array_equal(opt.m, np.concatenate([oracle.m[n].ravel() for n in names]))
+        assert np.array_equal(opt.v, np.concatenate([oracle.v[n].ravel() for n in names]))
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         params = init_params(MICRO_CFG, seed=6)
@@ -380,6 +451,60 @@ class TestCheckpoint:
         path.write_bytes(raw[:-7])
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", ["missing", "extra", "misshapen", "repeated"])
+    def test_tensor_set_checked_against_config(self, tmp_path, case):
+        params = init_params(MICRO_CFG, seed=6)
+        arrays = {name: params[name] for name in params.names()}
+        if case == "missing":
+            del arrays["head.bias"]
+        elif case == "extra":
+            arrays["head.scale"] = np.ones(MICRO_CFG.n_intervals)
+        elif case == "misshapen":
+            arrays["head.weight"] = np.zeros((8, 7))
+        path = tmp_path / "fold0.ckpt"
+        save_checkpoint(path, ParamStore(arrays), MICRO_CFG, extra={"fold": 0})
+        if case == "repeated":
+            path.write_bytes(with_last_tensor_repeated(path.read_bytes(), params))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_round_trip_keeps_forward(self, tmp_path):
+        params = init_params(MICRO_CFG, seed=6, scale=0.25)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, MICRO_CFG)
+        loaded, cfg, _ = load_checkpoint(path)
+        subs = preprocess_patient(make_patient("P1", n_wsis=2), MICRO_CFG, EVAL_MASK_SEED)
+        before, after = forward(subs, params, MICRO_CFG), forward(subs, loaded, cfg)
+        assert np.max(np.abs(after.hazards - before.hazards)) <= 1e-4
+        assert abs(after.risk - before.risk) <= 1e-4
+
+    def test_eval_risks_match_in_memory_fit(self, tmp_path):
+        seed, manifest, run = 5, str(tmp_path / "data" / "manifest.csv"), tmp_path / "run"
+        assert cli.main(["synth", "--out", str(tmp_path / "data"), "--n-patients", "12",
+                         "--seed", str(seed)]) == 0
+        assert cli.main(["train", "--manifest", manifest, "--out", str(run), "--folds", "2",
+                         "--epochs", "2", "--seed", str(seed), "--model-dim", "16",
+                         "--window-size", "4", "--n-heads", "2"]) == 0
+        assert cli.main(["eval", "--manifest", manifest, "--checkpoints", str(run),
+                         "--out", str(tmp_path / "eval"), "--seed", str(seed)]) == 0
+        with open(tmp_path / "eval" / "risks.csv", newline="") as fh:
+            evaluated = {(int(r["fold"]), r["patient_id"]): float(r["risk"])
+                         for r in csv.DictReader(fh)}
+
+        records = load_manifest(manifest)
+        _, cfg, _ = load_checkpoint(run / "fold0.ckpt")
+        bin_survival_times(records, cfg.n_intervals)
+        splits = stratified_kfold(records, 2, seed=derive_seed(seed, "splits"))
+        in_memory = {}
+        for fold, split in enumerate(splits):
+            result = fit(records, split.train, split.validation, cfg,
+                         seed=derive_seed(seed, f"fold:{fold}"))
+            for pred in predict_risks(records, split.test, result.params, cfg):
+                in_memory[(fold, pred.patient_id)] = pred.risk
+        assert evaluated.keys() == in_memory.keys()
+        for key, risk in in_memory.items():
+            assert abs(evaluated[key] - risk) <= 1e-4, key
 
     @pytest.mark.parametrize("key", list(CONFIG_DEFAULTS))
     def test_any_missing_key_raises_format_error(self, tmp_path, key):
@@ -420,6 +545,16 @@ def with_config_text(raw: bytes, edit) -> bytes:
     (n,) = struct.unpack_from("<I", raw, 8)
     blob = edit(raw[12 : 12 + n].decode()).encode()
     return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n :]
+
+
+def with_last_tensor_repeated(raw: bytes, params) -> bytes:
+    """Checkpoint bytes of ``params`` with their last tensor record twice."""
+    name = params.names()[-1]
+    record = 2 + len(name) + 1 + 4 * params[name].ndim + 4 * params[name].size
+    (n_cfg,) = struct.unpack_from("<I", raw, 8)
+    at = 12 + n_cfg
+    (n,) = struct.unpack_from("<I", raw, at)
+    return raw[:at] + struct.pack("<I", n + 1) + raw[at + 4 :] + raw[-record:]
 
 
 def drop_key(text: str, key: str) -> str:
