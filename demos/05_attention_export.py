@@ -38,8 +38,8 @@ print(f"patient {rec.patient_id}: latent risk {truth.latent_risk[target]:.2f}, "
       f"{len(blob)} signature patches of {bag.n_patches}")
 
 subs = preprocess_patient(rec, cfg, EVAL_MASK_SEED)
-_, attention = forward(subs, result.params, cfg, want_attention=True)
-layers = export_attention(attention, drop_fraction=0.8)
+_, state = forward(subs, result.params, cfg, want_attention=True)
+layers = export_attention(subs, state, drop_fraction=0.8)
 
 grid = {(int(x) // 256, int(y) // 256): i for i, (x, y) in enumerate(bag.coords)}
 signature_rows = {grid[cell] for cell in blob}

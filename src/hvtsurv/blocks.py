@@ -75,16 +75,25 @@ def bucket_distance(x: float, p: BucketParams) -> int:
     return int(bucket_distances(np.asarray(x), p))
 
 
-def manhattan_bucket_index(coords: np.ndarray, p: BucketParams) -> np.ndarray:
-    """Bucket indices of pairwise Manhattan distances within each window.
+def pairwise_manhattan(coords: np.ndarray) -> np.ndarray:
+    """Manhattan distances between all point pairs within each window.
 
     ``coords`` is (w, 2) for one window or (nW, w, 2) for a batch of
     windows; the result is (w, w) or (nW, w, w) respectively.
     """
     c = np.asarray(coords, dtype=np.int64)
-    m = (np.abs(c[..., :, None, 0] - c[..., None, :, 0])
-         + np.abs(c[..., :, None, 1] - c[..., None, :, 1]))
-    return bucket_distances(m, p)
+    # in place: at slide scale each fresh (nW, w, w) temporary costs more
+    # in page faults than the arithmetic on it
+    d = c[..., :, None, 0] - c[..., None, :, 0]
+    dy = c[..., :, None, 1] - c[..., None, :, 1]
+    np.abs(d, out=d)
+    d += np.abs(dy, out=dy)
+    return d
+
+
+def manhattan_bucket_index(coords: np.ndarray, p: BucketParams) -> np.ndarray:
+    """Bucket indices of pairwise_manhattan(coords), shaped like it."""
+    return bucket_distances(pairwise_manhattan(coords), p)
 
 
 def bias_table_grad(g_scores: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:

@@ -21,7 +21,6 @@ import csv
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -246,8 +245,7 @@ def cmd_rearrange(rc: RunConfig, manifest: str, out: str, force: bool,
     return dict(n_wsis=len(bags), report_rows=report_rows)
 
 
-def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool,
-              parallel_folds: bool = False) -> dict:
+def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool) -> dict:
     """Cross-validated training; emits one checkpoint per fold + metrics."""
     _require_path(manifest, "manifest")
     out_dir = _prepare_out(out, force, "metrics.csv")
@@ -256,9 +254,11 @@ def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool,
     bin_survival_times(records, cfg.n_intervals)
     splits = stratified_kfold(records, rc.folds, seed=derive_seed(rc.seed, "splits"))
 
-    def train_fold(fold):
+    produced = []
+    histories = {}
+    for fold, split in enumerate(splits):
         try:
-            result = fit(records, splits[fold].train, splits[fold].validation, cfg,
+            result = fit(records, split.train, split.validation, cfg,
                          seed=derive_seed(rc.seed, f"fold:{fold}"))
         except NumericError as exc:
             raise NumericError(f"fold {fold}: {exc}") from exc
@@ -266,16 +266,6 @@ def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool,
         save_checkpoint(ckpt, result.params, cfg,
                         extra={"fold": fold, "master_seed": rc.seed, "folds": rc.folds,
                                "best_epoch": result.best_epoch})
-        return result, ckpt
-
-    produced = []
-    histories = {}
-    if parallel_folds:
-        with ThreadPoolExecutor(max_workers=len(splits)) as pool:
-            results = list(pool.map(train_fold, range(len(splits))))
-    else:
-        results = map(train_fold, range(len(splits)))
-    for fold, (result, ckpt) in enumerate(results):
         histories[fold] = result.history
         produced.append(ckpt)
         log.info("fold %d: %d epochs, final val loss %s", fold, len(result.history),
@@ -285,8 +275,8 @@ def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool,
     with open(metrics, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fold", "epoch", "train_loss", "val_loss", "val_cindex"])
-        for fold in sorted(histories):
-            for h in histories[fold]:
+        for fold, history in histories.items():
+            for h in history:
                 writer.writerow([fold, h["epoch"], f"{h['train_loss']:.6f}",
                                  f"{h['val_loss']:.6f}", f"{h['val_cindex']:.6f}"])
     produced.append(metrics)
@@ -295,8 +285,9 @@ def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool,
     return dict(folds=len(splits), histories=histories)
 
 
-def _fold_checkpoints(ckpt_dir: Path, seed: int, feature_dim: int) -> list[Path]:
-    """The fold*.ckpt files of one training run, ordered by stored fold key.
+def _fold_checkpoints(ckpt_dir: Path, seed: int, feature_dim: int) -> list[tuple]:
+    """(params, config) of each fold*.ckpt file of one training run, in the
+    order of the stored fold keys. Each file is read once.
 
     All checkpoints must agree on the fold count, master seed, input_dim,
     window_size and n_intervals, and their fold keys must be exactly
@@ -305,10 +296,10 @@ def _fold_checkpoints(ckpt_dir: Path, seed: int, feature_dim: int) -> list[Path]
     paths = sorted(ckpt_dir.glob("fold*.ckpt"))
     if not paths:
         raise ValidationError(f"no fold checkpoints found in {ckpt_dir}")
-    by_fold: dict[int, Path] = {}
+    by_fold: dict[int, tuple] = {}
     first = None
     for path in paths:
-        _, cfg, extra = load_checkpoint(path)
+        params, cfg, extra = load_checkpoint(path)
         run = dict(folds=int(extra.get("folds", -1)),
                    master_seed=int(extra.get("master_seed", -1)),
                    input_dim=cfg.input_dim, window_size=cfg.window_size,
@@ -318,7 +309,7 @@ def _fold_checkpoints(ckpt_dir: Path, seed: int, feature_dim: int) -> list[Path]
         elif run != first[1]:
             raise FormatError(f"checkpoint set inconsistent: {path} has {run}, "
                               f"{first[0]} has {first[1]}")
-        by_fold.setdefault(int(extra.get("fold", -1)), path)
+        by_fold.setdefault(int(extra.get("fold", -1)), (params, cfg))
     path, run = first
     if run["folds"] != len(paths):
         raise FormatError(
@@ -353,8 +344,7 @@ def cmd_eval(rc: RunConfig, manifest: str, checkpoint_dir: str, out: str,
     pooled_low: list = []
     pooled_high: list = []
     risk_rows = []
-    for fold, ckpt_path in enumerate(ckpts):
-        params, cfg, _ = load_checkpoint(ckpt_path)
+    for fold, (params, cfg) in enumerate(ckpts):
         preds = predict_risks(records, splits[fold].test, params, cfg)
         fold_ci.append(survstats.c_index(preds))
         low, high = survstats.risk_stratify(preds)
@@ -400,8 +390,8 @@ def cmd_attn(rc: RunConfig, manifest: str, checkpoint: str, patient_id: str,
 
     rec = by_id[patient_id]
     subs = preprocess_patient(rec, cfg, EVAL_MASK_SEED)
-    _, attention = forward(subs, params, cfg, want_attention=True)
-    layers = export_attention(attention, drop_fraction=rc.drop_fraction)
+    _, state = forward(subs, params, cfg, want_attention=True)
+    layers = export_attention(subs, state, drop_fraction=rc.drop_fraction)
 
     path = out_dir / f"attention_{patient_id}.csv"
     with open(path, "w", newline="") as fh:
@@ -446,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-dim", type=int, dest="model_dim")
     p.add_argument("--window-size", type=int, dest="window_size")
     p.add_argument("--n-heads", type=int, dest="n_heads")
-    p.add_argument("--parallel-folds", action="store_true")
 
     p = sub.add_parser("eval", parents=[common], help="evaluate fold checkpoints")
     p.add_argument("--manifest", required=True)
@@ -480,8 +469,7 @@ def run(argv=None) -> int:
     elif args.command == "rearrange":
         cmd_rearrange(rc, args.manifest, args.out, args.force, report=args.report)
     elif args.command == "train":
-        cmd_train(rc, args.manifest, args.out, args.force,
-                  parallel_folds=args.parallel_folds)
+        cmd_train(rc, args.manifest, args.out, args.force)
     elif args.command == "eval":
         cmd_eval(rc, args.manifest, args.checkpoint_dir, args.out, args.force)
     elif args.command == "attn":

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bagio import PATCH_PIXELS, PatchBag
+from .blocks import pairwise_manhattan
 from .errors import ConfigurationError
 
 
@@ -41,10 +42,6 @@ class RearrangedBag:
     @property
     def n_windows(self) -> int:
         return self.features.shape[0] // self.window_size
-
-    def window(self, k: int) -> slice:
-        w = self.window_size
-        return slice(k * w, (k + 1) * w)
 
 
 @dataclass
@@ -216,14 +213,8 @@ def random_window_mask(bag: RearrangedBag, m: int, seed: int) -> list[SubWsiBag]
 def window_mean_manhattan(bag: RearrangedBag) -> float:
     """Mean over windows of the summed pairwise Manhattan distances
     (unordered pairs) between scaled coordinates inside each window."""
-    w = bag.window_size
-    total = 0.0
-    for k in range(bag.n_windows):
-        block = bag.scaled_coords[bag.window(k)]
-        dx = np.abs(block[:, 0][:, None] - block[:, 0][None, :])
-        dy = np.abs(block[:, 1][:, None] - block[:, 1][None, :])
-        total += (dx + dy).sum() / 2.0
-    return total / bag.n_windows
+    windows = bag.scaled_coords.reshape(bag.n_windows, bag.window_size, 2)
+    return pairwise_manhattan(windows).sum() / 2.0 / bag.n_windows
 
 
 def compare_strategies(bag: PatchBag, w: int) -> tuple[float, float]:

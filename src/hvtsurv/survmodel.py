@@ -131,26 +131,6 @@ class HazardOutput:
     risk: float
 
 
-@dataclass
-class AttentionEntry:
-    """One window's per-head attention, tagged with row provenance."""
-
-    wsi_id: str
-    matrix: np.ndarray        # (heads, w, w), each head row-stochastic
-    source_rows: np.ndarray   # (w,) original patch index per attention row
-    coords: np.ndarray        # (w, 2) scaled grid coordinates per row
-
-
-@dataclass
-class AttentionRecord:
-    local: list[AttentionEntry]
-    shuffle: list[AttentionEntry]
-    pool_weights: np.ndarray
-    pool_wsi: list[str]
-    pool_source_rows: np.ndarray
-    pool_coords: np.ndarray
-
-
 def param_layout(cfg: HVTSurvConfig) -> dict[str, tuple[tuple[int, ...], str]]:
     """Every model parameter as name -> (shape, init), in draw order. ``init``
     is "zeros", "ones", "normal" (std ``scale`` of init_params) or "block":
@@ -227,8 +207,12 @@ def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
             want_attention: bool = False, return_state: bool = False):
     """Run a preprocessed patient through the model.
 
-    Returns a HazardOutput, optionally paired with an AttentionRecord
-    and/or the internal state needed for the backward pass.
+    Returns a HazardOutput, or (HazardOutput, state) when either flag is
+    set. ``state["bags"]`` holds one dict per sub-bag, in order: with
+    ``return_state`` everything the backward pass needs; with
+    ``want_attention`` alone only the shuffle ``perm`` and the
+    ``local`` and ``shuffle`` attention, each under key ``"attn"``.
+    ``state["pool"]`` is attn_pool's state.
     """
     if not sub_bags:
         raise ValidationError("patient has no sub-WSI bags")
@@ -241,16 +225,13 @@ def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
 
     per_bag_states = []
     outputs = []
-    attn_local: list[AttentionEntry] = []
-    attn_shuffle: list[AttentionEntry] = []
     for sub in sub_bags:
         x = np.asarray(sub.features, dtype=np.float64)
         if x.shape[0] % w:
             raise ValidationError("sub-WSI row count is not a multiple of the window size")
-        nw = x.shape[0] // w
         h0 = linear(x, params["reduce.weight"], params["reduce.bias"])
 
-        idx = manhattan_bucket_index(sub.scaled_coords.reshape(nw, w, 2), cfg.bucket)
+        idx = manhattan_bucket_index(sub.scaled_coords.reshape(-1, w, 2), cfg.bucket)
         bias = table[idx].transpose(0, 3, 1, 2)
         h1 = window_attention(h0, local_params, w, bias, return_state=keep)
         if keep:
@@ -263,44 +244,21 @@ def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
             h2, shuffle_state = h2
         outputs.append(h2[inv])
 
-        if want_attention:
-            for k in range(nw):
-                sl = slice(k * w, (k + 1) * w)
-                attn_local.append(AttentionEntry(
-                    wsi_id=sub.source_wsi, matrix=local_state["attn"][k],
-                    source_rows=sub.source_rows[sl], coords=sub.scaled_coords[sl],
-                ))
-                pos = perm[sl]
-                attn_shuffle.append(AttentionEntry(
-                    wsi_id=sub.source_wsi, matrix=shuffle_state["attn"][k],
-                    source_rows=sub.source_rows[pos], coords=sub.scaled_coords[pos],
-                ))
         if return_state:
             per_bag_states.append(dict(x=x, idx=idx, perm=perm, inv=inv,
                                        local=local_state, shuffle=shuffle_state))
+        elif want_attention:
+            per_bag_states.append(dict(perm=perm, local=dict(attn=local_state["attn"]),
+                                       shuffle=dict(attn=shuffle_state["attn"])))
 
-    h_cat = np.vstack(outputs)
-    pooled, weights, pool_state = attn_pool(h_cat, pool_params, return_state=True)
+    pooled, _, pool_state = attn_pool(np.vstack(outputs), pool_params, return_state=True)
     logits = pooled @ params["head.weight"] + params["head.bias"]
     hazards = sigmoid(logits)
     survival = survival_from_hazards(hazards)
     out = HazardOutput(hazards=hazards, survival=survival, risk=float(-survival.sum()))
-
-    record = None
-    if want_attention:
-        record = AttentionRecord(
-            local=attn_local,
-            shuffle=attn_shuffle,
-            pool_weights=weights,
-            pool_wsi=[sub.source_wsi for sub in sub_bags for _ in range(len(sub.source_rows))],
-            pool_source_rows=np.concatenate([sub.source_rows for sub in sub_bags]),
-            pool_coords=np.vstack([sub.scaled_coords for sub in sub_bags]),
-        )
-    if not return_state:
-        return (out, record) if want_attention else out
-    state = dict(bags=per_bag_states, pool=pool_state, pooled=pooled,
-                 hazards=hazards, sizes=[o.shape[0] for o in outputs])
-    return (out, record, state) if want_attention else (out, state)
+    if not keep:
+        return out
+    return out, dict(bags=per_bag_states, pool=pool_state, pooled=pooled, hazards=hazards)
 
 
 def nll_loss(out: HazardOutput, label: int, censored: int) -> float:
@@ -352,7 +310,8 @@ def loss_and_grads(sub_bags: list[SubWsiBag], label: int, censored: int,
     shuffle_params = _block_view(params, "shuffle", cfg.n_heads)
     n_rows = params["local.bias_table"].shape[0]
     offset = 0
-    for bag_state, size in zip(state["bags"], state["sizes"]):
+    for bag_state in state["bags"]:
+        size = bag_state["x"].shape[0]
         g_h2 = g_cat[offset : offset + size]
         offset += size
 
@@ -502,21 +461,23 @@ def predict_risks(records: list[PatientRecord], indices, params: ParamStore, cfg
     return preds
 
 
-def export_attention(record: AttentionRecord, drop_fraction: float = 0.8) -> dict:
+def export_attention(sub_bags: list[SubWsiBag], state: dict,
+                     drop_fraction: float = 0.8) -> dict:
     """Per-layer patch scores ready for heatmap rendering.
 
-    Window attention is averaged over heads and then over the query axis
-    to score each patch row; per layer, the lowest ``drop_fraction`` of
-    scores are zeroed and the rest min-max rescaled to [0, 1] (a constant
-    score vector rescales to all zeros). Shuffle-layer rows were tagged
-    with their pre-shuffle identity at capture time, which realizes the
-    inverse-permutation restore.
+    ``state`` is what forward(sub_bags, ..., want_attention=True)
+    returned with its output. Window attention is averaged over heads and
+    then over the query axis to score each patch row; per layer, the
+    lowest ``drop_fraction`` of scores are zeroed and the rest min-max
+    rescaled to [0, 1] (a constant score vector rescales to all zeros).
+    Row j of a sub-bag's shuffle layer is its pre-shuffle row perm[j],
+    and is tagged as such.
     """
     if not 0.0 <= drop_fraction < 1.0:
         raise ValidationError(f"drop_fraction must lie in [0, 1), got {drop_fraction}")
 
     def finalize(scores: np.ndarray) -> np.ndarray:
-        scores = scores.astype(np.float64).copy()
+        scores = scores.astype(np.float64)
         n_drop = int(np.floor(drop_fraction * scores.size))
         if n_drop:
             scores[np.argsort(scores, kind="stable")[:n_drop]] = 0.0
@@ -525,32 +486,23 @@ def export_attention(record: AttentionRecord, drop_fraction: float = 0.8) -> dic
             return np.zeros_like(scores)
         return (scores - scores.min()) / span
 
-    layers: dict[str, list[dict]] = {}
-    for name, entries in (("local", record.local), ("shuffle", record.shuffle)):
-        rows = []
-        raw = []
-        for entry in entries:
-            per_patch = entry.matrix.mean(axis=0).mean(axis=0)
-            for j in range(per_patch.shape[0]):
-                rows.append(dict(wsi_id=entry.wsi_id,
-                                 patch_index=int(entry.source_rows[j]),
-                                 gx=int(entry.coords[j, 0]),
-                                 gy=int(entry.coords[j, 1])))
-                raw.append(per_patch[j])
-        final = finalize(np.array(raw)) if raw else np.empty(0)
-        for row, score in zip(rows, final):
-            row["score"] = float(score)
-        layers[name] = rows
+    def window_scores(layer: str) -> np.ndarray:
+        return np.concatenate([b[layer]["attn"].mean(axis=1).mean(axis=1).ravel()
+                               for b in state["bags"]])
 
-    pool_final = finalize(record.pool_weights)
-    layers["pool"] = [
-        dict(wsi_id=record.pool_wsi[j],
-             patch_index=int(record.pool_source_rows[j]),
-             gx=int(record.pool_coords[j, 0]),
-             gy=int(record.pool_coords[j, 1]),
-             score=float(pool_final[j]))
-        for j in range(record.pool_weights.shape[0])
-    ]
+    as_is = [slice(None)] * len(sub_bags)
+    per_layer = {
+        "local": (as_is, window_scores("local")),
+        "shuffle": ([b["perm"] for b in state["bags"]], window_scores("shuffle")),
+        "pool": (as_is, state["pool"]["weights"]),
+    }
+    layers: dict[str, list[dict]] = {}
+    for name, (orders, raw) in per_layer.items():
+        tags = ((sub.source_wsi, row, gx, gy) for sub, order in zip(sub_bags, orders)
+                for row, (gx, gy) in zip(sub.source_rows[order].tolist(),
+                                         sub.scaled_coords[order].tolist()))
+        layers[name] = [dict(wsi_id=wsi, patch_index=row, gx=gx, gy=gy, score=score)
+                        for (wsi, row, gx, gy), score in zip(tags, finalize(raw).tolist())]
     return layers
 
 

@@ -224,6 +224,23 @@ class TestTrainEvalAttn:
         for name in ("report.csv", "km_curves.csv", "risks.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_eval_reads_each_checkpoint_once(self, cohort, tmp_path, monkeypatch):
+        manifest = str(cohort / "manifest.csv")
+        train = tmp_path / "train"
+        assert cli.main(["train", "--manifest", manifest, "--out", str(train), "--folds", "2",
+                         "--epochs", "0", "--seed", "0", *FAST_FLAGS]) == 0
+        loaded = []
+
+        def counting_load(path):
+            loaded.append(path)
+            return load(path)
+
+        load = cli.load_checkpoint
+        monkeypatch.setattr(cli, "load_checkpoint", counting_load)
+        assert cli.main(["eval", "--manifest", manifest, "--checkpoints", str(train),
+                         "--out", str(tmp_path / "eval"), "--seed", "0"]) == 0
+        assert sorted(p.name for p in loaded) == ["fold0.ckpt", "fold1.ckpt"]
+
     def test_eval_seed_mismatch_rejected(self, cohort, trained, tmp_path):
         args = ["eval", "--manifest", str(cohort / "manifest.csv"),
                 "--checkpoints", str(trained), "--out", str(tmp_path / "bad"),
@@ -236,20 +253,10 @@ class TestTrainEvalAttn:
                 "--patient", "NOBODY", "--out", str(tmp_path / "a")]
         assert cli.main(args) == 1
 
-    def test_parallel_folds_match_sequential(self, cohort, trained, tmp_path):
-        out = tmp_path / "par"
+    def test_train_logs_each_fold(self, cohort, tmp_path, caplog):
         args = ["train", "--manifest", str(cohort / "manifest.csv"),
-                "--out", str(out), "--folds", "3", "--epochs", "2",
-                "--seed", "0", "--parallel-folds", *FAST_FLAGS]
-        assert cli.main(args) == 0
-        for k in range(3):
-            assert ((out / f"fold{k}.ckpt").read_bytes()
-                    == (trained / f"fold{k}.ckpt").read_bytes())
-
-    def test_parallel_folds_log_each_fold(self, cohort, tmp_path, caplog):
-        args = ["train", "--manifest", str(cohort / "manifest.csv"),
-                "--out", str(tmp_path / "par"), "--folds", "3", "--epochs", "1",
-                "--seed", "0", "--parallel-folds", *FAST_FLAGS]
+                "--out", str(tmp_path / "folds"), "--folds", "3", "--epochs", "1",
+                "--seed", "0", *FAST_FLAGS]
         with caplog.at_level(logging.INFO, logger="hvtsurv"):
             assert cli.main(args) == 0
         folds = [r.getMessage().partition(":")[0] for r in caplog.records
@@ -423,7 +430,7 @@ class TestConfigReachesCommands:
         reads = {
             "synth": run_recorded("synth", str(data), False),
             "rearrange": run_recorded("rearrange", manifest, str(tmp_path / "re"), False, True),
-            "train": run_recorded("train", manifest, str(tmp_path / "train"), False, True),
+            "train": run_recorded("train", manifest, str(tmp_path / "train"), False),
             "eval": run_recorded("eval", manifest, str(tmp_path / "train"),
                                  str(tmp_path / "eval"), False),
             "attn": run_recorded("attn", manifest, str(tmp_path / "train" / "fold0.ckpt"),

@@ -213,8 +213,7 @@ def test_knn_window_contract_on_large_bags(n, w, seed, shuffled):
         key = np.stack([(d**2).sum(axis=1), grid[rows, 1], grid[rows, 0], rows], axis=1)
         return key, np.lexsort(key.T[::-1])
 
-    for k in range(out.n_windows):
-        rows = pos[out.window(k)]
+    for rows in pos.reshape(out.n_windows, w):
         assert rows[0] == np.flatnonzero(remaining)[0]
         key, rank = ranked_keys(rows[0], rows)
         assert np.array_equal(rank, np.arange(w))

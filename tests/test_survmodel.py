@@ -13,16 +13,16 @@ from hvtsurv.bagio import (
     load_manifest,
     stratified_kfold,
 )
-from hvtsurv.blocks import BucketParams
+from hvtsurv.blocks import BucketParams, spatial_shuffle
 from hvtsurv.errors import FormatError, ValidationError
 from hvtsurv.numerics import ParamStore, finite_diff_check
+from hvtsurv.rearrange import SubWsiBag
 from hvtsurv.seeding import derive_seed
 from hvtsurv.survmodel import (
     ADAMW_SLICE,
     CONFIG_DEFAULTS,
     EVAL_MASK_SEED,
     AdamW,
-    AttentionRecord,
     HVTSurvConfig,
     HazardOutput,
     config_from_items,
@@ -277,21 +277,47 @@ class TestFit:
         assert "no comparable pairs" in caplog.text
 
 
+def hand_built_attention(pool_weights, w=2, heads=2):
+    """One sub-bag whose window attention is uniform, so its local and
+    shuffle scores are constant, with the given pooling weights."""
+    n = pool_weights.size
+    sub = SubWsiBag(source_wsi="w", features=np.zeros((n, 3)),
+                    scaled_coords=np.ones((n, 2), dtype=np.int64), source_rows=np.arange(n),
+                    window_ids=np.arange(n // w), window_size=w)
+    attn = np.full((n // w, heads, w, w), 1.0 / w)
+    state = dict(bags=[dict(perm=spatial_shuffle(n, w), local=dict(attn=attn),
+                            shuffle=dict(attn=attn))],
+                 pool=dict(weights=pool_weights))
+    return [sub], state
+
+
+def two_slide_patient(pid="P9"):
+    """Slides of 14 and 23 patches on different layouts."""
+    layouts = ([(x, y) for y in range(8) for x in range(8)][:14],
+               [(x, y) for x in range(6) for y in range(6) if (x + y) % 3][:23])
+    bags = [PatchBag(f"{pid}-W{j}", np.array(cells) * 256,
+                     rng.normal(size=(len(cells), 12)).astype(np.float32))
+            for j, cells in enumerate(layouts)]
+    return PatientRecord(pid, bags, FollowUp(12.0, 0), interval_label=1)
+
+
 class TestExportAttention:
-    def record_for(self, patient, params, cfg, mask_seed=7):
+    def attention_for(self, patient, params, cfg, mask_seed=7):
         subs = preprocess_patient(patient, cfg, mask_seed)
-        _, record = forward(subs, params, cfg, want_attention=True)
-        return record
+        _, state = forward(subs, params, cfg, want_attention=True)
+        return subs, state
 
     def test_matrices_row_stochastic(self):
-        record = self.record_for(make_patient("P1"), init_params(MICRO_CFG, 1), MICRO_CFG)
-        for entry in [*record.local, *record.shuffle]:
-            assert np.allclose(entry.matrix.sum(axis=-1), 1.0, atol=1e-6)
-        assert np.isclose(record.pool_weights.sum(), 1.0)
+        _, state = self.attention_for(make_patient("P1"), init_params(MICRO_CFG, 1), MICRO_CFG)
+        for bag in state["bags"]:
+            for layer in ("local", "shuffle"):
+                assert np.allclose(bag[layer]["attn"].sum(axis=-1), 1.0, atol=1e-6)
+        assert np.isclose(state["pool"]["weights"].sum(), 1.0)
 
     def test_drop_fraction_zero_keeps_everything(self):
-        record = self.record_for(make_patient("P1"), init_params(MICRO_CFG, 1), MICRO_CFG)
-        layers = export_attention(record, drop_fraction=0.0)
+        subs, state = self.attention_for(make_patient("P1"), init_params(MICRO_CFG, 1),
+                                         MICRO_CFG)
+        layers = export_attention(subs, state, drop_fraction=0.0)
         for rows in layers.values():
             assert all(r["score"] >= 0.0 for r in rows)
             assert any(r["score"] > 0.0 for r in rows)
@@ -299,29 +325,59 @@ class TestExportAttention:
     def test_drop_eighty_percent_rank_counting(self):
         weights = np.linspace(0.01, 0.1, 10)
         weights /= weights.sum()
-        record = AttentionRecord(
-            local=[], shuffle=[], pool_weights=weights,
-            pool_wsi=["w"] * 10, pool_source_rows=np.arange(10),
-            pool_coords=np.ones((10, 2), dtype=int),
-        )
-        rows = export_attention(record, drop_fraction=0.8)["pool"]
+        subs, state = hand_built_attention(weights)
+        rows = export_attention(subs, state, drop_fraction=0.8)["pool"]
         nonzero = [r for r in rows if r["score"] > 0.0]
         assert len(nonzero) == 2
 
     def test_scores_in_unit_interval(self):
-        record = self.record_for(make_patient("P1"), init_params(MICRO_CFG, 2), MICRO_CFG)
-        for rows in export_attention(record, drop_fraction=0.8).values():
+        subs, state = self.attention_for(make_patient("P1"), init_params(MICRO_CFG, 2),
+                                         MICRO_CFG)
+        for rows in export_attention(subs, state, drop_fraction=0.8).values():
             scores = [r["score"] for r in rows]
             assert min(scores) >= 0.0 and max(scores) <= 1.0
 
     def test_constant_scores_degenerate_to_zero(self):
-        record = AttentionRecord(
-            local=[], shuffle=[], pool_weights=np.full(6, 1 / 6),
-            pool_wsi=["w"] * 6, pool_source_rows=np.arange(6),
-            pool_coords=np.ones((6, 2), dtype=int),
-        )
-        rows = export_attention(record, drop_fraction=0.0)["pool"]
+        subs, state = hand_built_attention(np.full(6, 1 / 6))
+        rows = export_attention(subs, state, drop_fraction=0.0)["pool"]
         assert all(r["score"] == 0.0 for r in rows)
+
+    def test_two_slide_rows_tagged_with_pre_shuffle_identity(self):
+        subs, state = self.attention_for(two_slide_patient(), init_params(MICRO_CFG, 3),
+                                         MICRO_CFG)
+        assert len({sub.source_wsi for sub in subs}) == 2
+        layers = export_attention(subs, state, drop_fraction=0.0)
+        for layer in ("local", "shuffle"):
+            rows = layers[layer]
+            # score of window row j: its attention column, averaged over heads and queries
+            raw = np.array([bag[layer]["attn"][k, :, :, j].mean()
+                            for bag in state["bags"]
+                            for k in range(bag[layer]["attn"].shape[0])
+                            for j in range(MICRO_CFG.window_size)])
+            expect = (raw - raw.min()) / (raw.max() - raw.min())
+            assert np.allclose([r["score"] for r in rows], expect, atol=1e-12)
+            offset = 0
+            for sub, bag in zip(subs, state["bags"]):
+                order = bag["perm"] if layer == "shuffle" else np.arange(len(sub.source_rows))
+                for j, src in enumerate(order):
+                    row = rows[offset + j]
+                    assert row["wsi_id"] == sub.source_wsi
+                    assert row["patch_index"] == sub.source_rows[src]
+                    assert (row["gx"], row["gy"]) == tuple(sub.scaled_coords[src])
+                offset += len(order)
+            assert offset == len(rows)
+
+    def test_attention_state_keeps_only_what_export_reads(self):
+        params = init_params(MICRO_CFG, 3)
+        subs, state = self.attention_for(two_slide_patient(), params, MICRO_CFG)
+        _, full = forward(subs, params, MICRO_CFG, return_state=True)
+        assert len(state["bags"]) == len(subs)
+        for bag, full_bag in zip(state["bags"], full["bags"]):
+            assert set(bag) == {"perm", "local", "shuffle"}
+            assert set(bag["local"]) == set(bag["shuffle"]) == {"attn"}
+            assert np.array_equal(bag["perm"], full_bag["perm"])
+            for layer in ("local", "shuffle"):
+                assert np.array_equal(bag[layer]["attn"], full_bag[layer]["attn"])
 
 
 class TestPlantedAttentionConcentration:
@@ -354,8 +410,8 @@ class TestPlantedAttentionConcentration:
                     for i, (x, y) in enumerate(bag.coords)}
             sig_rows = {grid[c] for c in blob}
             subs = preprocess_patient(rec, cfg, EVAL_MASK_SEED)
-            _, attention = forward(subs, result.params, cfg, want_attention=True)
-            rows = export_attention(attention, drop_fraction=0.8)["pool"]
+            _, state = forward(subs, result.params, cfg, want_attention=True)
+            rows = export_attention(subs, state, drop_fraction=0.8)["pool"]
             sig = np.mean([r["score"] for r in rows if r["patch_index"] in sig_rows])
             bg = np.mean([r["score"] for r in rows if r["patch_index"] not in sig_rows])
             assert abs(sig - bg) > 0.15
