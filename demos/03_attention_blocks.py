@@ -4,15 +4,15 @@
 # (used with a bias by the local layer and without one, after a stride
 # shuffle, by the shuffle layer), and gated pooling, ending with a
 # finite-difference check of one full block including the bias table.
+# The kernels read their weights by name from a ParamStore, the store the
+# model keeps every parameter in, and add their gradients back to it.
 
 import numpy as np
 
 from hvtsurv.blocks import (
-    AttnPoolParams,
     BucketParams,
-    WindowBlockParams,
     attn_pool,
-    bias_table_grad,
+    block_layout,
     bucket_distance,
     inverse_permutation,
     manhattan_bucket_index,
@@ -21,6 +21,7 @@ from hvtsurv.blocks import (
     window_attention_backward,
 )
 from hvtsurv.numerics import ParamStore, finite_diff_check
+from hvtsurv.survmodel import draw_tensors
 
 p = BucketParams()   # alpha 1.9, beta 7.6, gamma 11.4, lambda 7
 print("distance -> bucket:")
@@ -42,9 +43,12 @@ print("per-head bias for window 0 (head 0):")
 print(np.round(bias[0, 0], 4))
 print("symmetric:", np.allclose(bias, bias.transpose(0, 1, 3, 2)), "\n")
 
-params = WindowBlockParams.init(dim=16, n_heads=2, rng=rng)
+# one block's tensors, named "local.wq", "local.ffn_w1", ... as block_layout
+# declares them, plus the bias table the local layer reads through idx
+local = draw_tensors({f"local.{n}": v for n, v in block_layout(16, 4).items()}, rng)
+params = ParamStore({**local, "local.bias_table": table})
 x = rng.normal(size=(8, 16))
-out, state = window_attention(x, params, 4, bias, return_state=True)
+out, state = window_attention(x, params, "local", 2, 4, idx, return_state=True)
 print("attention shape (windows, heads, w, w):", state["attn"].shape)
 print("attention rows sum to", state["attn"].sum(axis=-1).ravel()[:4], "\n")
 
@@ -52,42 +56,34 @@ perm = spatial_shuffle(12, 3)
 print("stride shuffle of 12 rows at w=3:", perm.tolist())
 print("inverse restores order:",
       np.array_equal(perm[inverse_permutation(perm)], np.arange(12)))
-shuffle_params = WindowBlockParams.init(dim=16, n_heads=2, rng=rng)
+shuffle = ParamStore(draw_tensors({f"shuffle.{n}": v
+                                   for n, v in block_layout(16, 4).items()}, rng))
 h = rng.normal(size=(12, 16))
-mixed = window_attention(h[perm], shuffle_params, 3)[inverse_permutation(perm)]
+mixed = window_attention(h[perm], shuffle, "shuffle", 2, 3)[inverse_permutation(perm)]
 print("shuffle layer = same kernel, no bias, rows permuted and restored:",
       mixed.shape, "\n")
 
-pool = AttnPoolParams.init(dim=16, hidden=8, rng=rng)
+pool = ParamStore({"pool.U": rng.normal(scale=0.02, size=(1, 8)),
+                   "pool.V": rng.normal(scale=0.02, size=(8, 16))})
 pooled, weights = attn_pool(rng.normal(size=(6, 16)), pool)
 print("pooling weights:", np.round(weights, 3), "sum", weights.sum(), "\n")
 
 # finite-difference check of the whole block (weights, input and bias
 # table); the weights are scaled up so the attention is far from uniform
 # and every gradient element sits well above the finite-difference noise
-# floor
+# floor. The backward returns the input gradient and adds every weight
+# and bias-table gradient to the store itself.
 for name in ("wq", "wk", "wv", "wo", "ffn_w1", "ffn_w2"):
-    getattr(params, name)[...] *= 10.0
-store = ParamStore({"x": x, "bias_table": table * 50.0,
-                    **{name: getattr(params, name) for name in params.array_fields()}})
+    local[f"local.{name}"] *= 10.0
+store = ParamStore({**local, "local.bias_table": table * 50.0, "x": x})
 probe = rng.normal(size=(8, 16))
 
 
-def block_of(ps):
-    return WindowBlockParams(**{n: ps[n] for n in params.array_fields()}, n_heads=2)
-
-
 def loss(ps):
-    b = ps["bias_table"][idx].transpose(0, 3, 1, 2)
-    return float(np.sum(window_attention(ps["x"], block_of(ps), 4, b) * probe))
+    return float(np.sum(window_attention(ps["x"], ps, "local", 2, 4, idx) * probe))
 
 
-b = store["bias_table"][idx].transpose(0, 3, 1, 2)
-_, st = window_attention(store["x"], block_of(store), 4, b, return_state=True)
-gx, grads, g_scores = window_attention_backward(probe, st, block_of(store))
-store.add_grad("x", gx)
-store.add_grad("bias_table", bias_table_grad(g_scores, idx, p.table_rows))
-for name, g in grads.items():
-    store.add_grad(name, g)
+_, st = window_attention(store["x"], store, "local", 2, 4, idx, return_state=True)
+store.add_grad("x", window_attention_backward(probe, st, store, "local"))
 err = finite_diff_check(loss, store, eps=1e-5)
 print(f"window block gradient vs finite differences: max rel err {err:.2e}")

@@ -214,6 +214,8 @@ def load_manifest(path) -> list[PatientRecord]:
                 f"got {reader.fieldnames}"
             )
         rows = list(reader)
+    if not rows:
+        raise ValidationError(f"{path}: manifest has no rows")
 
     seen: set[tuple[str, str]] = set()
     grouped: dict[str, dict] = {}

@@ -7,19 +7,22 @@
 * a deterministic stride shuffle that mixes rows across windows,
 * gated attention pooling of a variable-length feature set.
 
-Forward functions optionally return a state object which the matching
-``*_backward`` consumes; parameter gradients come back as dicts keyed
-like the parameter dataclass fields.
+The kernels read their weights from a ParamStore by name: a block's
+under ``{prefix}.``, as block_layout declares them, and the pooling
+weights under ``pool.``. Forward functions optionally return a state
+object which the matching ``*_backward`` consumes; the backward adds
+every parameter gradient to the store and returns the input gradient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .numerics import (
+    ParamStore,
     gelu,
     gelu_backward,
     layer_norm,
@@ -106,41 +109,17 @@ def bias_table_grad(g_scores: np.ndarray, idx: np.ndarray, n_rows: int) -> np.nd
                      for k in range(g_scores.shape[1])], axis=1)
 
 
-@dataclass
-class WindowBlockParams:
-    """Weights of one pre-norm attention block (shared across windows)."""
-
-    ln1_gamma: np.ndarray
-    ln1_beta: np.ndarray
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    ln2_gamma: np.ndarray
-    ln2_beta: np.ndarray
-    ffn_w1: np.ndarray
-    ffn_b1: np.ndarray
-    ffn_w2: np.ndarray
-    ffn_b2: np.ndarray
-    n_heads: int
-
-    @classmethod
-    def init(cls, dim: int, n_heads: int, rng: np.random.Generator, ffn_ratio: int = 4):
-        if dim % n_heads:
-            raise ValidationError(f"dim {dim} not divisible by {n_heads} heads")
-        hidden = ffn_ratio * dim
-        w = lambda *s: rng.normal(scale=0.02, size=s)
-        return cls(
-            ln1_gamma=np.ones(dim), ln1_beta=np.zeros(dim),
-            wq=w(dim, dim), wk=w(dim, dim), wv=w(dim, dim), wo=w(dim, dim),
-            ln2_gamma=np.ones(dim), ln2_beta=np.zeros(dim),
-            ffn_w1=w(dim, hidden), ffn_b1=np.zeros(hidden),
-            ffn_w2=w(hidden, dim), ffn_b2=np.zeros(dim),
-            n_heads=n_heads,
-        )
-
-    def array_fields(self) -> list[str]:
-        return [f.name for f in fields(self) if f.name != "n_heads"]
+def block_layout(d: int, ffn_ratio: int) -> dict[str, tuple[tuple[int, ...], str]]:
+    """The tensors of one attention block as name -> (shape, init), in draw
+    order; ``init`` is "ones", "zeros" or "block" (a std-0.02 normal draw
+    at the default init scale).
+    """
+    hidden = ffn_ratio * d
+    return {"ln1_gamma": ((d,), "ones"), "ln1_beta": ((d,), "zeros"),
+            **{n: ((d, d), "block") for n in ("wq", "wk", "wv", "wo")},
+            "ln2_gamma": ((d,), "ones"), "ln2_beta": ((d,), "zeros"),
+            "ffn_w1": ((d, hidden), "block"), "ffn_b1": ((hidden,), "zeros"),
+            "ffn_w2": ((hidden, d), "block"), "ffn_b2": ((d,), "zeros")}
 
 
 def _windows(m: np.ndarray, w: int, heads: int) -> np.ndarray:
@@ -155,89 +134,95 @@ def _rows(m: np.ndarray) -> np.ndarray:
     return m.transpose(0, 2, 1, 3).reshape(nw * w, heads * d_head)
 
 
-def window_attention(x: np.ndarray, params: WindowBlockParams, w: int, bias=None,
-                     return_state: bool = False):
-    """The attention block over consecutive w-row windows of x (N, d).
+def window_attention(x: np.ndarray, params: ParamStore, prefix: str, heads: int, w: int,
+                     idx=None, return_state: bool = False):
+    """The attention block ``{prefix}.*`` over consecutive w-row windows of x (N, d).
 
     Rows k*w .. (k+1)*w - 1 form window k. Layer norms, projections and
     the gelu MLP act row by row on all N rows at once; only the
     attention itself is batched per window and head, as
-    softmax((Q K^T + B) / sqrt(d_head)) with B the (nW, h, w, w)
-    additive bias (omitted when ``bias`` is None).
+    softmax((Q K^T + B) / sqrt(d_head)). B is zero when ``idx`` is None;
+    otherwise ``idx`` is the (nW, w, w) bucket index and B reads row
+    idx[k, i, j] of the (rows, heads) table ``{prefix}.bias_table``.
     """
     n, d = x.shape
-    heads = params.n_heads
     if d % heads:
         raise ShapeError(f"dim {d} not divisible by {heads} heads")
     if w < 1 or n % w:
         raise ShapeError(f"window size {w} does not divide {n} rows")
-    if bias is not None and bias.shape != (n // w, heads, w, w):
-        raise ShapeError(f"bias shape {bias.shape}, expected {(n // w, heads, w, w)}")
+    if idx is not None and idx.shape != (n // w, w, w):
+        raise ShapeError(f"bucket index shape {idx.shape}, expected {(n // w, w, w)}")
     scale = 1.0 / np.sqrt(d // heads)
 
-    u, ln1_state = layer_norm(x, params.ln1_gamma, params.ln1_beta)
-    qh = _windows(u @ params.wq, w, heads)
-    kh = _windows(u @ params.wk, w, heads)
-    vh = _windows(u @ params.wv, w, heads)
+    def p(name):
+        return params[f"{prefix}.{name}"]
+
+    u, ln1_state = layer_norm(x, p("ln1_gamma"), p("ln1_beta"))
+    qh = _windows(u @ p("wq"), w, heads)
+    kh = _windows(u @ p("wk"), w, heads)
+    vh = _windows(u @ p("wv"), w, heads)
     scores = qh @ kh.transpose(0, 1, 3, 2)
-    if bias is not None:
-        scores += bias
+    if idx is not None:
+        scores += p("bias_table")[idx].transpose(0, 3, 1, 2)
     attn = softmax_rows(scores * scale)
     ctx = _rows(attn @ vh)
-    y = x + ctx @ params.wo
+    y = x + ctx @ p("wo")
 
-    u2, ln2_state = layer_norm(y, params.ln2_gamma, params.ln2_beta)
-    h1 = linear(u2, params.ffn_w1, params.ffn_b1)
-    out = y + linear(gelu(h1), params.ffn_w2, params.ffn_b2)
+    u2, ln2_state = layer_norm(y, p("ln2_gamma"), p("ln2_beta"))
+    h1 = linear(u2, p("ffn_w1"), p("ffn_b1"))
+    out = y + linear(gelu(h1), p("ffn_w2"), p("ffn_b2"))
 
     if not return_state:
         return out
     # gelu(h1) is not kept: the backward recomputes it (bit-identically),
     # which saves an (N, ffn_ratio*d) array per layer at the step's peak
     state = dict(u=u, ln1_state=ln1_state, qh=qh, kh=kh, vh=vh, attn=attn, ctx=ctx,
-                 ln2_state=ln2_state, u2=u2, h1=h1, scale=scale)
+                 ln2_state=ln2_state, u2=u2, h1=h1, scale=scale, idx=idx)
     return out, state
 
 
-def window_attention_backward(grad: np.ndarray, state: dict, params: WindowBlockParams):
-    """Gradients of window_attention: (gx, param grads, score grads).
+def window_attention_backward(grad: np.ndarray, state: dict, params: ParamStore, prefix: str):
+    """Gradient of window_attention w.r.t. x; adds the gradient of every
+    ``{prefix}.*`` tensor the forward read, bias table included, to params.
 
-    The score gradient is (nW, h, w, w), the gradient of the additive
-    bias. Each stored activation is popped from ``state`` once used, so
-    the state is spent afterwards.
+    Each stored activation is popped from ``state`` once used, so the
+    state is spent afterwards.
     """
+    def p(name):
+        return params[f"{prefix}.{name}"]
+
+    def add(**grads):
+        for name, g in grads.items():
+            params.add_grad(f"{prefix}.{name}", g)
+
     h1 = state.pop("h1")
-    ga1, g_ffn_w2, g_ffn_b2 = linear_backward(grad, gelu(h1), params.ffn_w2)
-    gh1 = gelu_backward(ga1, h1)
-    gu2, g_ffn_w1, g_ffn_b1 = linear_backward(gh1, state.pop("u2"), params.ffn_w1)
-    gy_ln, g_ln2_gamma, g_ln2_beta = layer_norm_backward(gu2, state.pop("ln2_state"),
-                                                         params.ln2_gamma)
+    ga1, g_w2, g_b2 = linear_backward(grad, gelu(h1), p("ffn_w2"))
+    add(ffn_w2=g_w2, ffn_b2=g_b2)
+    gu2, g_w1, g_b1 = linear_backward(gelu_backward(ga1, h1), state.pop("u2"), p("ffn_w1"))
+    add(ffn_w1=g_w1, ffn_b1=g_b1)
+    gy_ln, g_gamma, g_beta = layer_norm_backward(gu2, state.pop("ln2_state"), p("ln2_gamma"))
+    add(ln2_gamma=g_gamma, ln2_beta=g_beta)
     gy = grad + gy_ln
 
-    g_wo = state.pop("ctx").T @ gy
+    add(wo=state.pop("ctx").T @ gy)
     attn, vh = state.pop("attn"), state.pop("vh")
-    gctx = _windows(gy @ params.wo.T, attn.shape[2], params.n_heads)
+    gctx = _windows(gy @ p("wo").T, attn.shape[2], attn.shape[1])
     g_attn = gctx @ vh.transpose(0, 1, 3, 2)
     g_vh = attn.transpose(0, 1, 3, 2) @ gctx
     g_scores = softmax_rows_backward(g_attn, attn) * state.pop("scale")
     qh, kh = state.pop("qh"), state.pop("kh")
     g_qh = g_scores @ kh
     g_kh = g_scores.transpose(0, 1, 3, 2) @ qh
+    idx = state.pop("idx")
+    if idx is not None:
+        add(bias_table=bias_table_grad(g_scores, idx, p("bias_table").shape[0]))
     gq, gk, gv = _rows(g_qh), _rows(g_kh), _rows(g_vh)
     u = state.pop("u")
-    gu = gq @ params.wq.T + gk @ params.wk.T + gv @ params.wv.T
-    g_wq, g_wk, g_wv = u.T @ gq, u.T @ gk, u.T @ gv
-    gx_ln, g_ln1_gamma, g_ln1_beta = layer_norm_backward(gu, state.pop("ln1_state"),
-                                                         params.ln1_gamma)
-    gx = gy + gx_ln
-
-    grads = dict(
-        ln1_gamma=g_ln1_gamma, ln1_beta=g_ln1_beta,
-        wq=g_wq, wk=g_wk, wv=g_wv, wo=g_wo,
-        ln2_gamma=g_ln2_gamma, ln2_beta=g_ln2_beta,
-        ffn_w1=g_ffn_w1, ffn_b1=g_ffn_b1, ffn_w2=g_ffn_w2, ffn_b2=g_ffn_b2,
-    )
-    return gx, grads, g_scores
+    gu = gq @ p("wq").T + gk @ p("wk").T + gv @ p("wv").T
+    add(wq=u.T @ gq, wk=u.T @ gk, wv=u.T @ gv)
+    gx_ln, g_gamma, g_beta = layer_norm_backward(gu, state.pop("ln1_state"), p("ln1_gamma"))
+    add(ln1_gamma=g_gamma, ln1_beta=g_beta)
+    return gy + gx_ln
 
 
 def spatial_shuffle(length: int, w: int) -> np.ndarray:
@@ -258,25 +243,13 @@ def inverse_permutation(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
-@dataclass
-class AttnPoolParams:
-    """Gated pooling weights: U scores the tanh(V h) gate per row."""
-
-    U: np.ndarray
-    V: np.ndarray
-
-    @classmethod
-    def init(cls, dim: int, hidden: int, rng: np.random.Generator):
-        return cls(U=rng.normal(scale=0.02, size=(1, hidden)),
-                   V=rng.normal(scale=0.02, size=(hidden, dim)))
-
-
-def attn_pool(h: np.ndarray, params: AttnPoolParams, return_state: bool = False):
-    """Softmax-weighted sum of rows; returns (pooled (d,), weights (G,))."""
+def attn_pool(h: np.ndarray, params: ParamStore, return_state: bool = False):
+    """Softmax-weighted sum of rows, scored by ``pool.U`` on the
+    tanh(``pool.V`` h) gate; returns (pooled (d,), weights (G,))."""
     if h.ndim != 2 or h.shape[0] < 1:
         raise ShapeError(f"attn_pool expects (G, d) with G >= 1, got {h.shape}")
-    t = tanh(h @ params.V.T)
-    scores = (t @ params.U.T).ravel()
+    t = tanh(h @ params["pool.V"].T)
+    scores = (t @ params["pool.U"].T).ravel()
     weights = softmax_rows(scores[None, :])[0]
     pooled = weights @ h
     if not return_state:
@@ -284,15 +257,15 @@ def attn_pool(h: np.ndarray, params: AttnPoolParams, return_state: bool = False)
     return pooled, weights, dict(t=t, weights=weights, h=h)
 
 
-def attn_pool_backward(g_pooled: np.ndarray, state: dict, params: AttnPoolParams):
-    """Gradients of pooled output w.r.t. rows and pooling weights."""
+def attn_pool_backward(g_pooled: np.ndarray, state: dict, params: ParamStore) -> np.ndarray:
+    """Gradient of the pooled output w.r.t. the rows; adds the ``pool.U``
+    and ``pool.V`` gradients to params."""
     t, weights, h = state["t"], state["weights"], state["h"]
     g_weights = h @ g_pooled
     gh = np.outer(weights, g_pooled)
     g_scores = softmax_rows_backward(g_weights[None, :], weights[None, :])[0]
-    g_U = (g_scores[:, None] * t).sum(axis=0, keepdims=True)
-    g_t = np.outer(g_scores, params.U[0])
-    g_pre = tanh_backward(g_t, t)
-    g_V = g_pre.T @ h
-    gh += g_pre @ params.V
-    return gh, dict(U=g_U, V=g_V)
+    params.add_grad("pool.U", (g_scores[:, None] * t).sum(axis=0, keepdims=True))
+    g_pre = tanh_backward(np.outer(g_scores, params["pool.U"][0]), t)
+    params.add_grad("pool.V", g_pre.T @ h)
+    gh += g_pre @ params["pool.V"]
+    return gh

@@ -401,7 +401,7 @@ def cmd_attn(rc: RunConfig, manifest: str, checkpoint: str, patient_id: str,
             for r in rows:
                 writer.writerow([layer, r["wsi_id"], r["patch_index"], r["gx"], r["gy"],
                                  f"{r['score']:.6f}"])
-    _write_produced(out_dir, "attn", [path])
+    _write_produced(out_dir, "attn", list(out_dir.glob("attention_*.csv")))
     print(f"attention scores for {patient_id} -> {path}")
     return dict(layers={k: len(v) for k, v in layers.items()})
 

@@ -195,8 +195,7 @@ def random_window_mask(bag: RearrangedBag, m: int, seed: int) -> list[SubWsiBag]
     for size in sizes:
         window_ids = np.sort(perm[offset : offset + size])
         offset += size
-        rows = np.concatenate([np.arange(k * bag.window_size, (k + 1) * bag.window_size)
-                               for k in window_ids])
+        rows = (window_ids[:, None] * bag.window_size + np.arange(bag.window_size)).ravel()
         subs.append(
             SubWsiBag(
                 source_wsi=bag.wsi_id,

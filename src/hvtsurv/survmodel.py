@@ -14,20 +14,20 @@ live here too.
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
 from . import survstats
 from .bagio import PatientRecord
 from .blocks import (
-    AttnPoolParams,
     BucketParams,
-    WindowBlockParams,
     attn_pool,
     attn_pool_backward,
-    bias_table_grad,
+    block_layout,
     inverse_permutation,
     manhattan_bucket_index,
     spatial_shuffle,
@@ -132,16 +132,10 @@ class HazardOutput:
 
 
 def param_layout(cfg: HVTSurvConfig) -> dict[str, tuple[tuple[int, ...], str]]:
-    """Every model parameter as name -> (shape, init), in draw order. ``init``
-    is "zeros", "ones", "normal" (std ``scale`` of init_params) or "block":
-    an attention-block weight, drawn with std 0.02, then scaled by scale/0.02.
+    """Every model parameter as name -> (shape, init), in draw order, with
+    the tensors of blocks.block_layout under ``local.`` and ``shuffle.``.
     """
-    d, hidden = cfg.model_dim, cfg.ffn_ratio * cfg.model_dim
-    block = {"ln1_gamma": ((d,), "ones"), "ln1_beta": ((d,), "zeros"),
-             **{n: ((d, d), "block") for n in ("wq", "wk", "wv", "wo")},
-             "ln2_gamma": ((d,), "ones"), "ln2_beta": ((d,), "zeros"),
-             "ffn_w1": ((d, hidden), "block"), "ffn_b1": ((hidden,), "zeros"),
-             "ffn_w2": ((hidden, d), "block"), "ffn_b2": ((d,), "zeros")}
+    d, block = cfg.model_dim, block_layout(cfg.model_dim, cfg.ffn_ratio)
     return {
         "reduce.weight": ((cfg.input_dim, d), "normal"), "reduce.bias": ((d,), "zeros"),
         **{f"{prefix}.{n}": v for prefix in ("local", "shuffle") for n, v in block.items()},
@@ -149,6 +143,18 @@ def param_layout(cfg: HVTSurvConfig) -> dict[str, tuple[tuple[int, ...], str]]:
         "pool.V": ((cfg.pool_hidden, d), "normal"), "pool.U": ((1, cfg.pool_hidden), "normal"),
         "head.weight": ((d, cfg.n_intervals), "normal"), "head.bias": ((cfg.n_intervals,), "zeros"),
     }
+
+
+def draw_tensors(layout: dict, rng: np.random.Generator, scale: float = 0.02) -> dict:
+    """One array per name -> (shape, init) of ``layout``, drawn in its order.
+
+    ``init`` is "zeros", "ones", "normal" (std ``scale``) or "block": an
+    attention-block weight, drawn with std 0.02, then scaled by scale/0.02.
+    """
+    draw = {"zeros": np.zeros, "ones": np.ones,
+            "normal": lambda shape: rng.normal(scale=scale, size=shape),
+            "block": lambda shape: rng.normal(scale=0.02, size=shape) * (scale / 0.02)}
+    return {name: draw[init](shape) for name, (shape, init) in layout.items()}
 
 
 def init_params(cfg: HVTSurvConfig, seed: int, scale: float = 0.02) -> ParamStore:
@@ -159,17 +165,7 @@ def init_params(cfg: HVTSurvConfig, seed: int, scale: float = 0.02) -> ParamStor
     starts away from its uniform saddle and no gradient element sits
     below the finite-difference noise floor.
     """
-    rng = rng_for(seed, "init")
-    draw = {"zeros": np.zeros, "ones": np.ones,
-            "normal": lambda shape: rng.normal(scale=scale, size=shape),
-            "block": lambda shape: rng.normal(scale=0.02, size=shape) * (scale / 0.02)}
-    return ParamStore({name: draw[init](shape)
-                       for name, (shape, init) in param_layout(cfg).items()})
-
-
-def _block_view(store: ParamStore, prefix: str, n_heads: int) -> WindowBlockParams:
-    names = [f.name for f in fields(WindowBlockParams) if f.name != "n_heads"]
-    return WindowBlockParams(**{n: store[f"{prefix}.{n}"] for n in names}, n_heads=n_heads)
+    return ParamStore(draw_tensors(param_layout(cfg), rng_for(seed, "init"), scale))
 
 
 def preprocess_patient(record: PatientRecord, cfg: HVTSurvConfig, mask_seed: int,
@@ -216,11 +212,7 @@ def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
     """
     if not sub_bags:
         raise ValidationError("patient has no sub-WSI bags")
-    w = cfg.window_size
-    local_params = _block_view(params, "local", cfg.n_heads)
-    shuffle_params = _block_view(params, "shuffle", cfg.n_heads)
-    table = params["local.bias_table"]
-    pool_params = AttnPoolParams(U=params["pool.U"], V=params["pool.V"])
+    w, heads = cfg.window_size, cfg.n_heads
     keep = return_state or want_attention
 
     per_bag_states = []
@@ -232,26 +224,25 @@ def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
         h0 = linear(x, params["reduce.weight"], params["reduce.bias"])
 
         idx = manhattan_bucket_index(sub.scaled_coords.reshape(-1, w, 2), cfg.bucket)
-        bias = table[idx].transpose(0, 3, 1, 2)
-        h1 = window_attention(h0, local_params, w, bias, return_state=keep)
+        h1 = window_attention(h0, params, "local", heads, w, idx, return_state=keep)
         if keep:
             h1, local_state = h1
 
         perm = spatial_shuffle(x.shape[0], w)
         inv = inverse_permutation(perm)
-        h2 = window_attention(h1[perm], shuffle_params, w, return_state=keep)
+        h2 = window_attention(h1[perm], params, "shuffle", heads, w, return_state=keep)
         if keep:
             h2, shuffle_state = h2
         outputs.append(h2[inv])
 
         if return_state:
-            per_bag_states.append(dict(x=x, idx=idx, perm=perm, inv=inv,
-                                       local=local_state, shuffle=shuffle_state))
+            per_bag_states.append(dict(x=x, perm=perm, inv=inv, local=local_state,
+                                       shuffle=shuffle_state))
         elif want_attention:
             per_bag_states.append(dict(perm=perm, local=dict(attn=local_state["attn"]),
                                        shuffle=dict(attn=shuffle_state["attn"])))
 
-    pooled, _, pool_state = attn_pool(np.vstack(outputs), pool_params, return_state=True)
+    pooled, _, pool_state = attn_pool(np.vstack(outputs), params, return_state=True)
     logits = pooled @ params["head.weight"] + params["head.bias"]
     hazards = sigmoid(logits)
     survival = survival_from_hazards(hazards)
@@ -296,36 +287,20 @@ def loss_and_grads(sub_bags: list[SubWsiBag], label: int, censored: int,
     loss = nll_loss(out, label, censored)
     d_logits = _nll_grad_logits(state["hazards"], label, censored)
 
-    pooled = state["pooled"]
-    params.add_grad("head.weight", np.outer(pooled, d_logits))
+    params.add_grad("head.weight", np.outer(state["pooled"], d_logits))
     params.add_grad("head.bias", d_logits)
-    g_pooled = params["head.weight"] @ d_logits
+    g_cat = attn_pool_backward(params["head.weight"] @ d_logits, state["pool"], params)
 
-    pool_params = AttnPoolParams(U=params["pool.U"], V=params["pool.V"])
-    g_cat, pool_grads = attn_pool_backward(g_pooled, state["pool"], pool_params)
-    params.add_grad("pool.U", pool_grads["U"])
-    params.add_grad("pool.V", pool_grads["V"])
-
-    local_params = _block_view(params, "local", cfg.n_heads)
-    shuffle_params = _block_view(params, "shuffle", cfg.n_heads)
-    n_rows = params["local.bias_table"].shape[0]
     offset = 0
     for bag_state in state["bags"]:
         size = bag_state["x"].shape[0]
         g_h2 = g_cat[offset : offset + size]
         offset += size
 
-        g_h1, sh_grads, _ = window_attention_backward(g_h2[bag_state["perm"]],
-                                                      bag_state["shuffle"], shuffle_params)
-        for name, g in sh_grads.items():
-            params.add_grad(f"shuffle.{name}", g)
-
-        g_h0, grads, g_scores = window_attention_backward(g_h1[bag_state["inv"]],
-                                                          bag_state["local"], local_params)
-        for name, g in grads.items():
-            params.add_grad(f"local.{name}", g)
-        params.add_grad("local.bias_table", bias_table_grad(g_scores, bag_state["idx"], n_rows))
-
+        g_h1 = window_attention_backward(g_h2[bag_state["perm"]], bag_state["shuffle"],
+                                         params, "shuffle")
+        g_h0 = window_attention_backward(g_h1[bag_state["inv"]], bag_state["local"],
+                                         params, "local")
         _, g_w, g_b = linear_backward(g_h0, bag_state["x"], params["reduce.weight"])
         params.add_grad("reduce.weight", g_w)
         params.add_grad("reduce.bias", g_b)
@@ -508,23 +483,30 @@ def export_attention(sub_bags: list[SubWsiBag], state: dict,
 
 def save_checkpoint(path, params: ParamStore, cfg: HVTSurvConfig,
                     extra: dict | None = None) -> None:
-    """Versioned binary container: config text plus named float32 tensors."""
+    """Versioned binary container: config text plus named float32 tensors,
+    written to ``{path}.tmp`` and then moved over ``path`` in one step."""
     items = {**config_items(cfg), **(extra or {})}
     config_blob = "".join(f"{k}={v}\n" for k, v in items.items()).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(config_blob)))
-        fh.write(config_blob)
-        names = params.names()
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            encoded = name.encode("utf-8")
-            arr = params[name]
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f4").tobytes())
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(config_blob)))
+            fh.write(config_blob)
+            names = params.names()
+            fh.write(struct.pack("<I", len(names)))
+            for name in names:
+                encoded = name.encode("utf-8")
+                arr = params[name]
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.astype("<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):

@@ -20,14 +20,13 @@ from hvtsurv.bagio import (
     write_patch_bag,
 )
 from hvtsurv.blocks import (
-    AttnPoolParams,
     BucketParams,
     attn_pool,
     bucket_distance,
     inverse_permutation,
     spatial_shuffle,
 )
-from hvtsurv.numerics import finite_diff_check, softmax_rows
+from hvtsurv.numerics import ParamStore, finite_diff_check, softmax_rows
 from hvtsurv.rearrange import compare_strategies, knn_rearrange, random_window_mask
 from hvtsurv.seeding import derive_seed
 from hvtsurv.survmodel import (
@@ -227,7 +226,8 @@ def test_criterion_6_structural_invariants():
                                                     int(rng.integers(2, 9)))))
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-6)
 
-    pool = AttnPoolParams.init(6, 4, rng)
+    pool = ParamStore({"pool.U": rng.normal(scale=0.02, size=(1, 4)),
+                       "pool.V": rng.normal(scale=0.02, size=(4, 6))})
     for _ in range(100):
         _, weights = attn_pool(rng.normal(size=(int(rng.integers(1, 30)), 6)), pool)
         assert np.isclose(weights.sum(), 1.0, atol=1e-6)

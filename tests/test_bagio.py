@@ -140,6 +140,11 @@ class TestManifest:
         assert len(by_id["P1"].bags) == 2
         assert len(by_id["P2"].bags) == 1
 
+    def test_header_only_manifest_rejected(self, tmp_path):
+        path = self.write_cohort(tmp_path, [])
+        with pytest.raises(ValidationError, match="no rows"):
+            load_manifest(path)
+
     def test_follow_up_parse(self, tmp_path):
         path = self.write_cohort(tmp_path, [("P1", "A", 10.0, 1)])
         (rec,) = load_manifest(path)

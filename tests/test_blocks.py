@@ -4,12 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvtsurv.blocks import (
-    AttnPoolParams,
     BucketParams,
-    WindowBlockParams,
     attn_pool,
     attn_pool_backward,
-    bias_table_grad,
+    block_layout,
     bucket_distance,
     bucket_distances,
     inverse_permutation,
@@ -20,6 +18,7 @@ from hvtsurv.blocks import (
 )
 from hvtsurv.errors import ShapeError, ValidationError
 from hvtsurv.numerics import ParamStore, finite_diff_check
+from hvtsurv.survmodel import draw_tensors
 
 rng = np.random.default_rng(777)
 DEFAULTS = BucketParams()
@@ -70,14 +69,35 @@ def bias_table(heads, rng):
     return rng.normal(scale=0.02, size=(DEFAULTS.table_rows, heads))
 
 
+def block_arrays(d, rng):
+    """One attention block's tensors as ``blk.name`` -> array, drawn from
+    ``rng`` by the init rules of block_layout."""
+    return draw_tensors({f"blk.{n}": v for n, v in block_layout(d, 4).items()}, rng)
+
+
+def block_store(d, rng, table=None):
+    """A ParamStore of one block under ``blk.``, plus ``blk.bias_table``
+    when a table is given."""
+    arrays = block_arrays(d, rng)
+    if table is not None:
+        arrays["blk.bias_table"] = table
+    return ParamStore(arrays)
+
+
+def pool_store(d, hidden, rng):
+    """Pooling weights: U (1, hidden) and then V (hidden, d), std 0.02."""
+    return ParamStore({"pool.U": rng.normal(scale=0.02, size=(1, hidden)),
+                       "pool.V": rng.normal(scale=0.02, size=(hidden, d))})
+
+
 def window_bias(coords, table):
     """(nW, heads, w, w) bias for (nW, w, 2) window coordinates."""
     return table[manhattan_bucket_index(coords, DEFAULTS)].transpose(0, 3, 1, 2)
 
 
-def shuffled_attention(x, params, w):
+def shuffled_attention(x, store, heads, w):
     perm = spatial_shuffle(x.shape[0], w)
-    return window_attention(x[perm], params, w)[inverse_permutation(perm)]
+    return window_attention(x[perm], store, "blk", heads, w)[inverse_permutation(perm)]
 
 
 class TestManhattanBias:
@@ -87,11 +107,17 @@ class TestManhattanBias:
         bias = window_bias(coords, table)
         for h in range(2):
             assert np.allclose(bias[0, h], table[0, h])
-        # a per-head constant shifts every logit of a row equally
-        params = WindowBlockParams.init(8, 2, np.random.default_rng(11))
+        # a per-head constant shifts every logit of a row equally: identical
+        # coordinates read one row, and a table of equal rows gives every
+        # pair the same bias whatever its distance
+        store = block_store(8, np.random.default_rng(11), table)
         x = rng.normal(size=(4, 8))
-        assert np.allclose(window_attention(x, params, 4, bias),
-                           window_attention(x, params, 4, None))
+        idx = manhattan_bucket_index(coords, DEFAULTS)
+        no_bias = window_attention(x, store, "blk", 2, 4)
+        assert np.allclose(window_attention(x, store, "blk", 2, 4, idx), no_bias)
+        store["blk.bias_table"][...] = table[5]
+        spread = manhattan_bucket_index(rng.integers(1, 30, size=(1, 4, 2)), DEFAULTS)
+        assert np.allclose(window_attention(x, store, "blk", 2, 4, spread), no_bias)
 
     def test_distance_three_lookup(self):
         table = bias_table(3, rng)
@@ -119,7 +145,7 @@ def block_fd_error(w=4, d=8, heads=2, seed=0, with_bias=True, shuffle_len=None):
     """Max FD relative error of the window kernel over params, input and
     bias table; with ``shuffle_len`` rows it runs as the shuffle layer."""
     local_rng = np.random.default_rng(seed)
-    params = WindowBlockParams.init(d, heads, local_rng)
+    arrays = block_arrays(d, local_rng)
     table = bias_table(heads, local_rng)
     length = shuffle_len or w
     idx = manhattan_bucket_index(local_rng.integers(1, 8, size=(1, w, 2)), DEFAULTS)
@@ -128,94 +154,80 @@ def block_fd_error(w=4, d=8, heads=2, seed=0, with_bias=True, shuffle_len=None):
     perm = spatial_shuffle(length, w)
     inv = inverse_permutation(perm)
 
-    arrays = {"x": x, **{name: getattr(params, name) for name in params.array_fields()}}
+    arrays["x"] = x
     if with_bias:
-        arrays["bias_table"] = table
+        arrays["blk.bias_table"] = table
+    else:
+        idx = None
     store = ParamStore(arrays)
 
-    def rebuild(ps):
-        pr = WindowBlockParams(**{n: ps[n] for n in params.array_fields()}, n_heads=heads)
-        bias = ps["bias_table"][idx].transpose(0, 3, 1, 2) if with_bias else None
-        return pr, bias
-
     def f(ps):
-        pr, bias = rebuild(ps)
         if shuffle_len:
-            out = window_attention(ps["x"][perm], pr, w)[inv]
+            out = window_attention(ps["x"][perm], ps, "blk", heads, w)[inv]
         else:
-            out = window_attention(ps["x"], pr, w, bias)
+            out = window_attention(ps["x"], ps, "blk", heads, w, idx)
         return float(np.sum(out * probe))
 
-    pr, bias = rebuild(store)
     if shuffle_len:
-        _, st = window_attention(store["x"][perm], pr, w, return_state=True)
-        gxs, grads, _ = window_attention_backward(probe[perm], st, pr)
-        gx = gxs[inv]
+        _, st = window_attention(store["x"][perm], store, "blk", heads, w, return_state=True)
+        gx = window_attention_backward(probe[perm], st, store, "blk")[inv]
     else:
-        _, st = window_attention(store["x"], pr, w, bias, return_state=True)
-        gx, grads, g_scores = window_attention_backward(probe, st, pr)
-        if with_bias:
-            store.add_grad("bias_table", bias_table_grad(g_scores, idx, table.shape[0]))
+        _, st = window_attention(store["x"], store, "blk", heads, w, idx, return_state=True)
+        gx = window_attention_backward(probe, st, store, "blk")
     store.add_grad("x", gx)
-    for k, v in grads.items():
-        store.add_grad(k, v)
     return finite_diff_check(f, store, eps=1e-5)
 
 
 class TestLocalWindowAttention:
     def test_identical_rows_uniform_attention(self):
-        params = WindowBlockParams.init(8, 2, np.random.default_rng(1))
+        store = block_store(8, np.random.default_rng(1))
         x = np.tile(rng.normal(size=8), (10, 1))
-        out, st = window_attention(x, params, 5, None, return_state=True)
+        out, st = window_attention(x, store, "blk", 2, 5, return_state=True)
         assert st["attn"].shape == (2, 2, 5, 5)
         assert np.allclose(st["attn"], 1.0 / 5.0)
         assert np.allclose(out, out[0])
 
     def test_attention_rows_sum_to_one(self):
-        params = WindowBlockParams.init(8, 2, np.random.default_rng(2))
-        table = bias_table(2, rng)
+        store = block_store(8, np.random.default_rng(2), bias_table(2, rng))
         for _ in range(20):
-            bias = window_bias(rng.integers(1, 9, size=(3, 6, 2)), table)
+            idx = manhattan_bucket_index(rng.integers(1, 9, size=(3, 6, 2)), DEFAULTS)
             x = rng.normal(size=(18, 8))
-            _, st = window_attention(x, params, 6, bias, return_state=True)
+            _, st = window_attention(x, store, "blk", 2, 6, idx, return_state=True)
             assert np.allclose(st["attn"].sum(axis=-1), 1.0, atol=1e-6)
 
     def test_permutation_equivariance_zero_bias(self):
         # permuting rows inside each window permutes the output rows alike
-        params = WindowBlockParams.init(8, 2, np.random.default_rng(3))
+        store = block_store(8, np.random.default_rng(3))
         x = rng.normal(size=(12, 8))
         perm = np.concatenate([rng.permutation(6), 6 + rng.permutation(6)])
-        out = window_attention(x, params, 6, None)
-        out_p = window_attention(x[perm], params, 6, None)
+        out = window_attention(x, store, "blk", 2, 6)
+        out_p = window_attention(x[perm], store, "blk", 2, 6)
         assert np.allclose(out_p, out[perm])
 
     def test_gradient_full_block(self):
         assert block_fd_error(seed=0) < 1e-4
 
     def test_bias_shape_checked(self):
-        params = WindowBlockParams.init(8, 2, np.random.default_rng(4))
+        store = block_store(8, np.random.default_rng(4), bias_table(2, rng))
         x = rng.normal(size=(4, 8))
-        for shape in ((1, 2, 3, 3), (2, 4, 4), (2, 2, 4, 4)):
+        for shape in ((1, 3, 3), (2, 4, 4), (1, 4), (4, 4), (1, 2, 4, 4)):
             with pytest.raises(ShapeError):
-                window_attention(x, params, 4, np.zeros(shape))
+                window_attention(x, store, "blk", 2, 4, np.zeros(shape, dtype=np.int64))
         with pytest.raises(ShapeError):
-            window_attention(x, params, 3)
+            window_attention(x, store, "blk", 2, 3)
 
 
-def single_window_calls(x, params, w, bias, probe):
-    """The kernel applied one window at a time (nW=1), results stacked."""
-    outs, gxs, g_scores, total = [], [], [], {}
+def single_window_calls(x, store, heads, w, idx, probe):
+    """The kernel applied one window at a time (nW=1), results stacked;
+    the parameter gradients accumulate in ``store``."""
+    outs, gxs = [], []
     for k in range(x.shape[0] // w):
         sl = slice(k * w, (k + 1) * w)
-        b = None if bias is None else bias[k : k + 1]
-        out, st = window_attention(x[sl], params, w, b, return_state=True)
-        gx, grads, gs = window_attention_backward(probe[sl], st, params)
+        i = None if idx is None else idx[k : k + 1]
+        out, st = window_attention(x[sl], store, "blk", heads, w, i, return_state=True)
         outs.append(out)
-        gxs.append(gx)
-        g_scores.append(gs)
-        for name, g in grads.items():
-            total[name] = total.get(name, 0.0) + g
-    return np.vstack(outs), np.vstack(gxs), total, np.concatenate(g_scores)
+        gxs.append(window_attention_backward(probe[sl], st, store, "blk"))
+    return np.vstack(outs), np.vstack(gxs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,24 +237,25 @@ def test_batched_kernel_equals_single_window_calls(n_windows, w, heads, d_head,
                                                     with_bias, seed):
     local_rng = np.random.default_rng(seed)
     d = heads * d_head
-    params = WindowBlockParams.init(d, heads, local_rng)
+    arrays = block_arrays(d, local_rng)
     for name in ("wq", "wk", "wv", "wo", "ffn_w1", "ffn_w2"):
-        getattr(params, name)[...] *= 10.0
+        arrays[f"blk.{name}"] *= 10.0
     x = local_rng.normal(size=(n_windows * w, d))
     probe = local_rng.normal(size=x.shape)
-    bias = None
+    idx = None
     if with_bias:
-        bias = window_bias(local_rng.integers(1, 12, size=(n_windows, w, 2)),
-                           bias_table(heads, local_rng) * 50)
+        idx = manhattan_bucket_index(local_rng.integers(1, 12, size=(n_windows, w, 2)), DEFAULTS)
+        arrays["blk.bias_table"] = bias_table(heads, local_rng) * 50
+    store = ParamStore(arrays)
+    store_1 = store.copy()
 
-    out, st = window_attention(x, params, w, bias, return_state=True)
-    gx, grads, g_scores = window_attention_backward(probe, st, params)
-    out_1, gx_1, grads_1, g_scores_1 = single_window_calls(x, params, w, bias, probe)
+    out, st = window_attention(x, store, "blk", heads, w, idx, return_state=True)
+    gx = window_attention_backward(probe, st, store, "blk")
+    out_1, gx_1 = single_window_calls(x, store_1, heads, w, idx, probe)
     assert np.max(np.abs(out - out_1)) <= 1e-12
     assert np.max(np.abs(gx - gx_1)) <= 1e-12
-    assert np.max(np.abs(g_scores - g_scores_1)) <= 1e-12
-    for name, g in grads.items():
-        assert np.max(np.abs(g - grads_1[name])) <= 1e-12, name
+    for name in store.names():
+        assert np.max(np.abs(store.grad(name) - store_1.grad(name))) <= 1e-12, name
 
 
 class TestSpatialShuffle:
@@ -279,18 +292,19 @@ class TestSpatialShuffle:
 
 class TestShuffleWindowAttention:
     def test_single_window_equals_local(self):
-        params = WindowBlockParams.init(8, 2, np.random.default_rng(5))
+        store = block_store(8, np.random.default_rng(5))
         x = rng.normal(size=(4, 8))
-        assert np.allclose(shuffled_attention(x, params, 4),
-                           window_attention(x, params, 4, None))
+        assert np.allclose(shuffled_attention(x, store, 2, 4),
+                           window_attention(x, store, "blk", 2, 4))
 
     def test_row_order_restored(self):
         # with w=1 each row only attends to itself, so the output must be
         # the rowwise block map in the original order
-        params = WindowBlockParams.init(8, 2, np.random.default_rng(6))
+        store = block_store(8, np.random.default_rng(6))
         x = rng.normal(size=(6, 8))
-        out = shuffled_attention(x, params, 1)
-        rowwise = np.vstack([window_attention(x[i : i + 1], params, 1) for i in range(6)])
+        out = shuffled_attention(x, store, 2, 1)
+        rowwise = np.vstack([window_attention(x[i : i + 1], store, "blk", 2, 1)
+                             for i in range(6)])
         assert np.allclose(out, rowwise)
 
     def test_gradient(self):
@@ -301,40 +315,36 @@ class TestShuffleWindowAttention:
 
 class TestAttnPool:
     def test_identical_rows_uniform(self):
-        pool = AttnPoolParams.init(6, 4, np.random.default_rng(7))
+        pool = pool_store(6, 4, np.random.default_rng(7))
         h = np.tile(rng.normal(size=6), (5, 1))
         pooled, weights = attn_pool(h, pool)
         assert np.allclose(weights, 0.2)
         assert np.allclose(pooled, h[0])
 
     def test_singleton(self):
-        pool = AttnPoolParams.init(6, 4, np.random.default_rng(8))
+        pool = pool_store(6, 4, np.random.default_rng(8))
         h = rng.normal(size=(1, 6))
         pooled, weights = attn_pool(h, pool)
         assert np.allclose(weights, [1.0])
         assert np.allclose(pooled, h[0])
 
     def test_weights_sum_to_one(self):
-        pool = AttnPoolParams.init(6, 4, np.random.default_rng(9))
+        pool = pool_store(6, 4, np.random.default_rng(9))
         for _ in range(50):
             _, weights = attn_pool(rng.normal(size=(rng.integers(1, 20), 6)), pool)
             assert np.isclose(weights.sum(), 1.0, atol=1e-6)
 
     def test_gradient(self):
         local_rng = np.random.default_rng(10)
-        pool = AttnPoolParams.init(8, 5, local_rng)
+        pool = pool_store(8, 5, local_rng)
         h = local_rng.normal(size=(6, 8))
         probe = local_rng.normal(size=8)
-        store = ParamStore({"h": h, "U": pool.U, "V": pool.V})
+        store = ParamStore({"h": h, "pool.U": pool["pool.U"], "pool.V": pool["pool.V"]})
 
         def f(ps):
-            pooled, _ = attn_pool(ps["h"], AttnPoolParams(U=ps["U"], V=ps["V"]))
+            pooled, _ = attn_pool(ps["h"], ps)
             return float(np.sum(pooled * probe))
 
-        pooled, _, st = attn_pool(store["h"], AttnPoolParams(U=store["U"], V=store["V"]),
-                                  return_state=True)
-        gh, grads = attn_pool_backward(probe, st, AttnPoolParams(U=store["U"], V=store["V"]))
-        store.add_grad("h", gh)
-        store.add_grad("U", grads["U"])
-        store.add_grad("V", grads["V"])
+        pooled, _, st = attn_pool(store["h"], store, return_state=True)
+        store.add_grad("h", attn_pool_backward(probe, st, store))
         assert finite_diff_check(f, store, eps=1e-5) < 1e-4

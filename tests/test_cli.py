@@ -278,6 +278,23 @@ class TestTrainEvalAttn:
         scores = [float(r["score"]) for r in rows]
         assert min(scores) >= 0.0 and max(scores) <= 1.0
 
+    def test_attn_files_lists_every_patient_in_out(self, cohort, trained, tmp_path):
+        out = tmp_path / "shared"
+        for pid in ("P0002", "P0000"):
+            assert cli.main(["attn", "--manifest", str(cohort / "manifest.csv"),
+                             "--checkpoint", str(trained / "fold0.ckpt"),
+                             "--patient", pid, "--out", str(out)]) == 0
+        assert (out / "attn_files.txt").read_text().split() == [
+            "attention_P0000.csv", "attention_P0002.csv"]
+
+    def test_train_on_empty_manifest_exits_1(self, tmp_path, caplog):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("patient_id,wsi_path,time_months,censored\n")
+        with caplog.at_level(logging.ERROR, logger="hvtsurv"):
+            assert cli.main(["train", "--manifest", str(manifest),
+                             "--out", str(tmp_path / "t"), *FAST_FLAGS]) == 1
+        assert any("no rows" in r.getMessage() for r in caplog.records)
+
 
 @pytest.fixture(scope="module")
 def eleven_folds(tmp_path_factory):

@@ -34,6 +34,7 @@ from hvtsurv.survmodel import (
     load_checkpoint,
     loss_and_grads,
     nll_loss,
+    param_layout,
     predict_risks,
     preprocess_patient,
     save_checkpoint,
@@ -168,6 +169,35 @@ class TestFullModelGradient:
             )
 
         assert finite_diff_check(f, params, eps=1e-5) < 1e-4
+
+    def test_every_layout_tensor_read_and_given_a_finite_gradient(self, monkeypatch):
+        # the kernels reach the model's tensors only through the store, so
+        # the names one training step reads and accumulates into must be
+        # exactly those param_layout declares
+        read, written = set(), set()
+        get, add = ParamStore.__getitem__, ParamStore.add_grad
+
+        def recording_get(store, name):
+            read.add(name)
+            return get(store, name)
+
+        def recording_add(store, name, g):
+            written.add(name)
+            add(store, name, g)
+
+        patient = make_patient("PA", n_patches=14, n_wsis=2)
+        subs = preprocess_patient(patient, MICRO_CFG, mask_seed=5)
+        params = init_params(MICRO_CFG, seed=4)
+        monkeypatch.setattr(ParamStore, "__getitem__", recording_get)
+        monkeypatch.setattr(ParamStore, "add_grad", recording_add)
+        forward(subs, params, MICRO_CFG)
+        loss_and_grads(subs, patient.interval_label, 0, params, MICRO_CFG)
+        monkeypatch.undo()
+        layout = param_layout(MICRO_CFG)
+        assert read == layout.keys()
+        assert written == layout.keys()
+        for name in layout:
+            assert np.all(np.isfinite(params.grad(name))), name
 
 
 class TestFit:
@@ -507,6 +537,40 @@ class TestCheckpoint:
         path.write_bytes(raw[:-7])
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    def test_interrupted_write_leaves_no_partial_checkpoint(self, tmp_path):
+        at_failure = []
+
+        class FailingStore(ParamStore):
+            # once armed (reads = 0), the fifth tensor read fails
+            reads = None
+
+            def __getitem__(self, name):
+                if FailingStore.reads is not None:
+                    FailingStore.reads += 1
+                if FailingStore.reads == 5:
+                    # the partial file is on disk, and eval's glob must skip it
+                    at_failure.append((len(list(tmp_path.iterdir())),
+                                       list(tmp_path.glob("fold*.ckpt"))))
+                    raise OSError("disk full")
+                return super().__getitem__(name)
+
+        params = init_params(MICRO_CFG, seed=6)
+        failing = FailingStore({name: params[name] for name in params.names()})
+        path = tmp_path / "fold0.ckpt"
+        FailingStore.reads = 0
+        with pytest.raises(OSError):
+            save_checkpoint(path, failing, MICRO_CFG, extra={"fold": 0})
+        assert list(tmp_path.iterdir()) == []
+
+        save_checkpoint(path, params, MICRO_CFG, extra={"fold": 0})
+        complete = path.read_bytes()
+        FailingStore.reads = 0
+        with pytest.raises(OSError):
+            save_checkpoint(path, failing, MICRO_CFG, extra={"fold": 0})
+        assert path.read_bytes() == complete
+        assert list(tmp_path.iterdir()) == [path]
+        assert at_failure == [(1, []), (2, [path])]
 
     @pytest.mark.parametrize("case", ["missing", "extra", "misshapen", "repeated"])
     def test_tensor_set_checked_against_config(self, tmp_path, case):
