@@ -16,6 +16,7 @@ every parameter gradient to the store and returns the input gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +96,13 @@ def pairwise_manhattan(coords: np.ndarray) -> np.ndarray:
 
 
 def manhattan_bucket_index(coords: np.ndarray, p: BucketParams) -> np.ndarray:
-    """Bucket indices of pairwise_manhattan(coords), shaped like it."""
-    return bucket_distances(pairwise_manhattan(coords), p)
+    """Bucket indices of pairwise_manhattan(coords), shaped like it.
+
+    The bucket map runs once per distinct distance, 0..max, and the
+    result is gathered from that table.
+    """
+    d = pairwise_manhattan(coords)
+    return bucket_distances(np.arange(d.max(initial=0) + 1), p)[d]
 
 
 def bias_table_grad(g_scores: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
@@ -152,7 +158,8 @@ def window_attention(x: np.ndarray, params: ParamStore, prefix: str, heads: int,
         raise ShapeError(f"window size {w} does not divide {n} rows")
     if idx is not None and idx.shape != (n // w, w, w):
         raise ShapeError(f"bucket index shape {idx.shape}, expected {(n // w, w, w)}")
-    scale = 1.0 / np.sqrt(d // heads)
+    # a Python float keeps float32 score gradients float32; np.sqrt's float64 would not
+    scale = 1.0 / math.sqrt(d // heads)
 
     def p(name):
         return params[f"{prefix}.{name}"]
@@ -164,7 +171,8 @@ def window_attention(x: np.ndarray, params: ParamStore, prefix: str, heads: int,
     scores = qh @ kh.transpose(0, 1, 3, 2)
     if idx is not None:
         scores += p("bias_table")[idx].transpose(0, 3, 1, 2)
-    attn = softmax_rows(scores * scale)
+    scores *= scale
+    attn = softmax_rows(scores)
     ctx = _rows(attn @ vh)
     y = x + ctx @ p("wo")
 

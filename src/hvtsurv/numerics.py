@@ -2,9 +2,11 @@
 
 Matrices are plain row-major numpy arrays. Each forward operation has a
 matching ``*_backward`` that maps the upstream gradient to gradients of
-its inputs; nothing here builds a graph. Gradient-checked builds run in
-float64, where every backward matches central finite differences to
-better than 1e-4 relative error.
+its inputs; nothing here builds a graph. Every operation computes in the
+dtype of its inputs. Training and gradient checks run in float64, where
+every backward matches central finite differences to better than 1e-4
+relative error; parameters loaded from a checkpoint are float32, and the
+forward pass on them computes in float32 throughout.
 """
 
 from __future__ import annotations
@@ -18,7 +20,12 @@ from .errors import NumericError, ShapeError, ValidationError
 
 LAYER_NORM_EPS = 1e-5
 
-# 2-D float64 ndarray in this module's contracts.
+# Python floats, not numpy float64 scalars, which would widen float32 arrays.
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# 2-D float ndarray in this module's contracts: float64 for training and
+# gradient checks, float32 for a forward pass on checkpoint parameters.
 DenseMatrix = np.ndarray
 
 
@@ -27,7 +34,9 @@ class ParamStore:
 
     ``flat`` holds every parameter and ``grad_flat`` every gradient, both
     laid out by name in sorted order, so optimizers that update ``flat`` in
-    place keep every view valid. Gradient accumulation is single-writer;
+    place keep every view valid. Both buffers take the floating dtype the
+    arrays promote to: float64 for freshly drawn tensors, float32 for the
+    tensors of a checkpoint. Gradient accumulation is single-writer;
     do not share one store across concurrent backwards.
     """
 
@@ -38,8 +47,9 @@ class ParamStore:
             shape = np.shape(arrays[name])
             self._layout[name] = (slice(size, size + math.prod(shape)), shape)
             size += math.prod(shape)
-        self.flat = np.empty(size)
-        self.grad_flat = np.zeros(size)
+        dtype = np.result_type(np.float32, *(np.asarray(a) for a in arrays.values()))
+        self.flat = np.empty(size, dtype)
+        self.grad_flat = np.zeros(size, dtype)
         for name, value in arrays.items():
             self[name][...] = value
 
@@ -79,9 +89,11 @@ def linear_backward(grad: DenseMatrix, x: DenseMatrix, weight: DenseMatrix):
 
 
 def softmax_rows(m: DenseMatrix) -> DenseMatrix:
-    shifted = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, in one fresh array; m is left as it is."""
+    e = m - m.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_rows_backward(grad: DenseMatrix, out: DenseMatrix) -> DenseMatrix:
@@ -113,12 +125,12 @@ def layer_norm_backward(grad: DenseMatrix, cache, gamma: np.ndarray):
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + special.erf(x / np.sqrt(2.0)))
+    return 0.5 * x * (1.0 + special.erf(x / _SQRT2))
 
 
 def gelu_backward(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
-    cdf = 0.5 * (1.0 + special.erf(x / np.sqrt(2.0)))
-    pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    cdf = 0.5 * (1.0 + special.erf(x / _SQRT2))
+    pdf = np.exp(-0.5 * x * x) / _SQRT_2PI
     return grad * (cdf + x * pdf)
 
 

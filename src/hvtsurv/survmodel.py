@@ -201,7 +201,8 @@ def survival_from_hazards(hazards: np.ndarray) -> np.ndarray:
 
 def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
             want_attention: bool = False, return_state: bool = False):
-    """Run a preprocessed patient through the model.
+    """Run a preprocessed patient through the model, in the dtype of
+    ``params`` (float32 for a loaded checkpoint, float64 otherwise).
 
     Returns a HazardOutput, or (HazardOutput, state) when either flag is
     set. ``state["bags"]`` holds one dict per sub-bag, in order: with
@@ -218,7 +219,7 @@ def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
     per_bag_states = []
     outputs = []
     for sub in sub_bags:
-        x = np.asarray(sub.features, dtype=np.float64)
+        x = np.asarray(sub.features, dtype=params.flat.dtype)
         if x.shape[0] % w:
             raise ValidationError("sub-WSI row count is not a multiple of the window size")
         h0 = linear(x, params["reduce.weight"], params["reduce.bias"])

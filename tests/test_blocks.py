@@ -12,6 +12,7 @@ from hvtsurv.blocks import (
     bucket_distances,
     inverse_permutation,
     manhattan_bucket_index,
+    pairwise_manhattan,
     spatial_shuffle,
     window_attention,
     window_attention_backward,
@@ -139,6 +140,17 @@ class TestManhattanBias:
             assert idx.shape == (3, 8, 8)
             assert idx.max() <= DEFAULTS.lam
             assert idx.min() >= 0
+
+    @pytest.mark.parametrize("coords", [
+        rng.integers(0, 400, size=(20, 49, 2)),
+        rng.integers(0, 40, size=(1, 16, 2)),
+        np.full((2, 6, 2), 7),
+    ], ids=["random", "one-window", "identical"])
+    def test_table_gather_equals_direct_map(self, coords):
+        for p in (DEFAULTS, BucketParams(alpha=1.2, beta=6.5, gamma=9.75, lam=5)):
+            idx = manhattan_bucket_index(coords, p)
+            direct = bucket_distances(pairwise_manhattan(coords), p)
+            assert idx.dtype == direct.dtype and np.array_equal(idx, direct)
 
 
 def block_fd_error(w=4, d=8, heads=2, seed=0, with_bias=True, shuffle_len=None):

@@ -64,6 +64,17 @@ class TestSoftmaxRows:
         check_op(lambda: (rand(4, 6),), softmax_rows,
                  lambda g, m: softmax_rows_backward(g, softmax_rows(m)))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_input_untouched_and_equal_to_three_temporaries(self, dtype):
+        m = rng.normal(scale=4.0, size=(3, 4, 5, 9)).astype(dtype)
+        before = m.copy()
+        shifted = m - m.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        expected = e / e.sum(axis=-1, keepdims=True)
+        out = softmax_rows(m)
+        assert np.array_equal(m, before)
+        assert out.dtype == dtype and np.array_equal(out, expected)
+
 
 class TestLinear:
     def test_zero_weight_gives_bias(self):

@@ -599,6 +599,24 @@ class TestCheckpoint:
         assert np.max(np.abs(after.hazards - before.hazards)) <= 1e-4
         assert abs(after.risk - before.risk) <= 1e-4
 
+    def test_loaded_checkpoint_computes_in_float32(self, tmp_path):
+        params = init_params(MICRO_CFG, seed=6, scale=0.25)
+        assert params.flat.dtype == params.grad_flat.dtype == np.float64
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, MICRO_CFG)
+        loaded, cfg, _ = load_checkpoint(path)
+        assert loaded.flat.dtype == loaded.grad_flat.dtype == np.float32
+        subs = preprocess_patient(make_patient("P1", n_wsis=2), MICRO_CFG, EVAL_MASK_SEED)
+        out, state = forward(subs, loaded, cfg, want_attention=True)
+        # a float64 scalar or cast anywhere on the path widens what follows it
+        assert out.hazards.dtype == np.float32
+        assert state["pool"]["t"].dtype == np.float32
+        for bag in state["bags"]:
+            assert bag["local"]["attn"].dtype == bag["shuffle"]["attn"].dtype == np.float32
+        widened = ParamStore({name: loaded[name].astype(np.float64) for name in loaded.names()})
+        assert widened.flat.dtype == np.float64
+        assert abs(forward(subs, widened, cfg).risk - out.risk) <= 1e-5
+
     def test_eval_risks_match_in_memory_fit(self, tmp_path):
         seed, manifest, run = 5, str(tmp_path / "data" / "manifest.csv"), tmp_path / "run"
         assert cli.main(["synth", "--out", str(tmp_path / "data"), "--n-patients", "12",
