@@ -30,6 +30,7 @@ from .numerics import (
     layer_norm_backward,
     linear,
     linear_backward,
+    normal_cdf,
     softmax_rows,
     softmax_rows_backward,
     tanh,
@@ -204,9 +205,11 @@ def window_attention_backward(grad: np.ndarray, state: dict, params: ParamStore,
             params.add_grad(f"{prefix}.{name}", g)
 
     h1 = state.pop("h1")
-    ga1, g_w2, g_b2 = linear_backward(grad, gelu(h1), p("ffn_w2"))
+    cdf = normal_cdf(h1)  # gelu(h1) is h1 * cdf, bit for bit
+    ga1, g_w2, g_b2 = linear_backward(grad, h1 * cdf, p("ffn_w2"))
     add(ffn_w2=g_w2, ffn_b2=g_b2)
-    gu2, g_w1, g_b1 = linear_backward(gelu_backward(ga1, h1), state.pop("u2"), p("ffn_w1"))
+    gu2, g_w1, g_b1 = linear_backward(gelu_backward(ga1, h1, cdf), state.pop("u2"),
+                                      p("ffn_w1"))
     add(ffn_w1=g_w1, ffn_b1=g_b1)
     gy_ln, g_gamma, g_beta = layer_norm_backward(gu2, state.pop("ln2_state"), p("ln2_gamma"))
     add(ln2_gamma=g_gamma, ln2_beta=g_beta)

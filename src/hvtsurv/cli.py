@@ -256,10 +256,11 @@ def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool) -> dict:
 
     produced = []
     histories = {}
+    cache: dict = {}  # every fold rearranges the same slides
     for fold, split in enumerate(splits):
         try:
             result = fit(records, split.train, split.validation, cfg,
-                         seed=derive_seed(rc.seed, f"fold:{fold}"))
+                         seed=derive_seed(rc.seed, f"fold:{fold}"), cache=cache)
         except NumericError as exc:
             raise NumericError(f"fold {fold}: {exc}") from exc
         ckpt = out_dir / f"fold{fold}.ckpt"

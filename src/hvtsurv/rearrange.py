@@ -5,9 +5,10 @@ are scaled to grid units, and windows are then formed greedily: take the
 first remaining patch, pull in the w nearest remaining patches (itself
 included) under Euclidean distance on the grid, emit them as a window,
 and repeat. Compared with raster-scan windowing this keeps each window
-compact in both axes on irregularly shaped slides. Large bags find each
-window's neighbours with exact queries on one KD-tree per bag instead of
-a scan of every remaining patch; the windows are the same either way.
+compact in both axes on irregularly shaped slides. Each window's
+neighbours come from a square around its anchor on the grid, which is
+widened until it must hold them; the windows are those of a scan of
+every remaining patch.
 
 Window-level random masking splits a rearranged bag into m sub-bags of
 whole windows for training-time augmentation.
@@ -15,6 +16,7 @@ whole windows for training-time augmentation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +90,8 @@ def reflect_pad(bag: PatchBag, w: int):
     return bag.features[idx], bag.coords[idx], idx
 
 
-# Below this many remaining rows a full scan per window is cheaper than a
-# tree round, which costs about two scipy calls whatever the bag size.
+# Below this many remaining rows a round ranks all of them: that is cheaper
+# than the dozen numpy calls that gather the rows of a square.
 _SCAN_ROWS = 512
 
 
@@ -101,12 +103,14 @@ def knn_rearrange(bag: PatchBag, w: int) -> RearrangedBag:
     broken by (gy, gx, sequence index)), removing them from the pool.
     Padding duplicates participate like any other row.
 
-    While more than ``_SCAN_ROWS`` rows remain, the candidates of a round
-    are the anchor's k nearest rows on a KD-tree over all rows, with k
-    doubled until at least w of them remain and the farthest returned row
-    lies strictly beyond the w-th nearest remaining one. Every row that
-    can enter the window is then a candidate, so the result equals a full
-    scan of the remaining rows, which finishes the bag.
+    The rows are sorted once by (gy, gx, index). A round's candidates are
+    the remaining rows in the square of half-side r around the anchor,
+    found as one sorted range per grid row of the square. Every row within
+    distance r of the anchor lies in the square, so the round is done once
+    the w-th best candidate is that close; otherwise r doubles. Once the
+    square is as tall as the remaining rows are many, or at most
+    ``_SCAN_ROWS`` rows remain, every remaining row is a candidate. The
+    windows are those of a full scan of the remaining rows.
     """
     if w < 1:
         raise ConfigurationError(f"window size must be >= 1, got {w}")
@@ -114,45 +118,44 @@ def knn_rearrange(bag: PatchBag, w: int) -> RearrangedBag:
     grid = scale_coords(coords)
     length = feats.shape[0]
 
+    # rows in (gy, gx, index) order; a candidate's rank in it breaks distance ties
+    span = int(grid[:, 0].max()) + 1
+    cell = grid[:, 1] * span + grid[:, 0]
+    by_cell = np.argsort(cell, kind="stable")
+    cell, gx, gy = cell[by_cell], grid[by_cell, 0], grid[by_cell, 1]
+    rank = np.empty(length, dtype=np.int64)
+    rank[by_cell] = np.arange(length)
+    y_max = int(gy[-1])
+
     order = np.empty(length, dtype=np.int64)
-    alive = np.ones(length, dtype=bool)
-    out = 0
-    if length > _SCAN_ROWS:
-        # imported here: scipy.spatial adds about 0.1 s to every process that loads it
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(grid)
-        anchor = 0
-        k = min(2 * w, length)
-        while length - out > _SCAN_ROWS:
-            while not alive[anchor]:
-                anchor += 1
-            while True:
-                _, near = tree.query(grid[anchor], k=k)
-                delta = grid[near] - grid[anchor]
-                dist2 = delta[:, 0] ** 2 + delta[:, 1] ** 2
-                live = alive[near]
-                cand, cand_d2 = near[live], dist2[live]
-                if cand.size >= w:
-                    ranked = np.lexsort((cand, grid[cand, 0], grid[cand, 1], cand_d2))[:w]
-                    if k == length or cand_d2[ranked[-1]] < dist2.max():
-                        break
-                k = min(2 * k, length)
-            take = cand[ranked]
-            order[out : out + w] = take
-            alive[take] = False
-            out += w
-
-    remaining = np.flatnonzero(alive)
-    while remaining.size:
-        anchor = remaining[0]
-        delta = grid[remaining] - grid[anchor]
-        dist2 = delta[:, 0] ** 2 + delta[:, 1] ** 2
-        ranked = np.lexsort((remaining, grid[remaining, 0], grid[remaining, 1], dist2))
-        take = ranked[:w]
-        order[out : out + w] = remaining[take]
-        out += w
-        remaining = np.delete(remaining, take)
+    alive = np.ones(length, dtype=bool)  # indexed by rank
+    anchor = 0
+    r = 1
+    for out in range(0, length, w):
+        while not alive[rank[anchor]]:
+            anchor += 1
+        ax, ay = grid[anchor].tolist()
+        while True:
+            if length - out <= max(_SCAN_ROWS, 2 * r + 1):
+                cand = np.flatnonzero(alive)
+            else:
+                rows = np.arange(max(ay - r, 1), min(ay + r, y_max) + 1)[:, None] * span
+                lo, hi = cell.searchsorted(rows + (max(ax - r, 0), min(ax + r, span - 1) + 1)).T
+                count = hi - lo
+                ends = np.cumsum(count)
+                cand = np.arange(ends[-1]) + np.repeat(lo - ends + count, count)
+                cand = cand[alive[cand]]
+            dist2 = (gx[cand] - ax) ** 2 + (gy[cand] - ay) ** 2
+            if cand.size >= w:
+                best = np.argsort(dist2, kind="stable")[:w]
+                if dist2[best[-1]] <= r * r or cand.size == length - out:
+                    break
+            r *= 2
+        take = cand[best]
+        order[out : out + w] = by_cell[take]
+        alive[take] = False
+        # the next anchor is usually near this one: start from the radius this window reached
+        r = max(1, math.isqrt(int(dist2[best[-1]])))
 
     return RearrangedBag(
         wsi_id=bag.wsi_id,

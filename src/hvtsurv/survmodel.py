@@ -349,12 +349,13 @@ class FitResult:
 
 
 def fit(records: list[PatientRecord], train_idx, val_idx, cfg: HVTSurvConfig,
-        seed: int) -> FitResult:
+        seed: int, cache: dict | None = None) -> FitResult:
     """Train with AdamW (batch size 1) and early stopping on validation loss.
 
     Window masking is resampled every epoch for training patients and
     pinned to the evaluation seed for validation. Deterministic for a
-    fixed seed and cohort.
+    fixed seed and cohort. ``cache`` is preprocess_patient's rearranged-bag
+    cache; folds of one run can share it.
     """
     train_idx = list(train_idx)
     val_idx = list(val_idx)
@@ -366,7 +367,8 @@ def fit(records: list[PatientRecord], train_idx, val_idx, cfg: HVTSurvConfig,
 
     params = init_params(cfg, derive_seed(seed, "fit-init"))
     optimizer = AdamW(params, cfg.learning_rate, cfg.weight_decay)
-    cache: dict[str, RearrangedBag] = {}
+    if cache is None:
+        cache = {}
 
     best = FitResult(params=params.copy(), history=[], best_epoch=0)
     best_val = np.inf

@@ -8,10 +8,10 @@ test, and the median risk split used for stratified curves.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import UndefinedStatisticError, ValidationError
 
@@ -120,9 +120,9 @@ def logrank_test(group_a: list[RiskPrediction],
     if variance <= 0:
         return 0.0, 1.0
     chi_square = observed_minus_expected ** 2 / variance
-    # survival function of chi-square with 1 df via the regularized
-    # upper incomplete gamma function
-    p_value = float(special.gammaincc(0.5, chi_square / 2.0))
+    # survival function of chi-square with 1 df: P(|Z| > sqrt(chi)) for a
+    # standard normal Z, which is gammaincc(0.5, chi / 2)
+    p_value = math.erfc(math.sqrt(chi_square / 2.0))
     return float(chi_square), max(p_value, np.finfo(float).tiny)
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .bagio import PATCH_PIXELS, FollowUp, PatchBag, PatientRecord
 from .errors import ConfigurationError
@@ -96,6 +95,9 @@ def gen_irregular_mask(width: int, height: int, hole_density: float, seed: int):
         raise ConfigurationError(f"mask grid must be at least 1x1, got {width}x{height}")
     if not 0.0 <= hole_density < 1.0:
         raise ConfigurationError(f"hole_density must lie in [0, 1), got {hole_density}")
+    # imported here: the other commands do not need scipy at all
+    from scipy import ndimage
+
     rng = np.random.default_rng(seed)
     structure = np.ones((3, 3), dtype=int)
     for _ in range(MASK_RETRY_LIMIT):

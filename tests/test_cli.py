@@ -3,11 +3,15 @@ import csv
 import inspect
 import logging
 import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hvtsurv
 from hvtsurv import cli
 from hvtsurv.errors import ConfigurationError, FormatError
 
@@ -252,6 +256,50 @@ class TestTrainEvalAttn:
                 "--checkpoint", str(trained / "fold0.ckpt"),
                 "--patient", "NOBODY", "--out", str(tmp_path / "a")]
         assert cli.main(args) == 1
+
+    def test_train_shares_one_rearrangement_across_folds(self, cohort, tmp_path, monkeypatch):
+        from hvtsurv import survmodel
+        calls = []
+        real_knn = survmodel.knn_rearrange
+
+        def counting_knn(bag, w):
+            calls.append(bag.wsi_id)
+            return real_knn(bag, w)
+
+        monkeypatch.setattr(survmodel, "knn_rearrange", counting_knn)
+        args = ["train", "--manifest", str(cohort / "manifest.csv"),
+                "--out", str(tmp_path / "shared"), "--folds", "3", "--epochs", "1",
+                "--seed", "0", *FAST_FLAGS]
+        assert cli.main(args) == 0
+        slides = [Path(r["wsi_path"]).stem for r in read_csv(cohort / "manifest.csv")]
+        assert sorted(calls) == sorted(slides)
+
+    def test_commands_after_synth_load_no_scipy(self, cohort, tmp_path):
+        """rearrange, train --epochs 0, eval and attn each run in a process
+        that never imports a scipy module."""
+        src = str(Path(hvtsurv.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        probe = ("import sys; from hvtsurv import cli; code = cli.main(sys.argv[1:]); "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+                 "sys.exit(code)")
+        manifest = str(cohort / "manifest.csv")
+        train = tmp_path / "train"
+        commands = [
+            ["rearrange", "--manifest", manifest, "--out", str(tmp_path / "re"),
+             "--window-size", "8", "--report"],
+            ["train", "--manifest", manifest, "--out", str(train), "--folds", "2",
+             "--epochs", "0", "--seed", "0", *FAST_FLAGS],
+            ["eval", "--manifest", manifest, "--checkpoints", str(train),
+             "--out", str(tmp_path / "eval"), "--seed", "0"],
+            ["attn", "--manifest", manifest, "--checkpoint", str(train / "fold0.ckpt"),
+             "--patient", "P0000", "--out", str(tmp_path / "attn")],
+        ]
+        for argv in commands:
+            result = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                                    capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.strip().splitlines()[-1] == "[]", argv[0]
 
     def test_train_logs_each_fold(self, cohort, tmp_path, caplog):
         args = ["train", "--manifest", str(cohort / "manifest.csv"),

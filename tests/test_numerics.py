@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import special
 
 from hvtsurv.errors import ShapeError, ValidationError
 from hvtsurv.numerics import (
     ParamStore,
+    erf,
     finite_diff_check,
     gelu,
     gelu_backward,
@@ -11,6 +15,7 @@ from hvtsurv.numerics import (
     layer_norm_backward,
     linear,
     linear_backward,
+    normal_cdf,
     sigmoid,
     softmax_rows,
     softmax_rows_backward,
@@ -113,11 +118,64 @@ class TestElementwise:
                  lambda gr, x, g, b: layer_norm_backward(gr, layer_norm(x, g, b)[1], g))
 
     def test_gelu_gradient(self):
-        check_op(lambda: (rand(4, 5),), gelu, gelu_backward)
+        check_op(lambda: (rand(4, 5),), gelu, lambda g, x: gelu_backward(g, x, normal_cdf(x)))
 
     def test_tanh_gradient(self):
         check_op(lambda: (rand(4, 5),), tanh,
                  lambda g, x: tanh_backward(g, tanh(x)))
+
+
+class TestErfAndSigmoid:
+    """float32 erf and sigmoid are numpy's; every other dtype is scipy's."""
+
+    grid = np.linspace(-6.0, 6.0, 1_200_001, dtype=np.float32)
+
+    def test_float32_erf_within_4_5e_7_of_float64_erf(self):
+        got = erf(self.grid)
+        want = special.erf(self.grid.astype(np.float64))
+        assert got.dtype == np.float32
+        err = np.abs(got - want)
+        # the fit reaches 4.45e-7, 7.5 float32 ulps of the exact value
+        assert err.max() < 4.5e-7
+        assert (err / np.spacing(np.abs(want).astype(np.float32))).max() < 8
+
+    def test_float32_erf_odd_and_saturating(self):
+        got = erf(self.grid)
+        assert np.array_equal(erf(-self.grid), -got)
+        assert np.abs(got).max() == 1.0
+        assert np.all(got[self.grid >= 4.0] == 1.0)
+
+    def test_float64_erf_is_scipy_bit_for_bit(self):
+        x = rng.normal(scale=3.0, size=(300, 70))
+        assert np.array_equal(erf(x), special.erf(x))
+
+    def test_float32_sigmoid_within_4_ulps_of_expit(self):
+        x = np.linspace(-80.0, 80.0, 400_001, dtype=np.float32)
+        got = sigmoid(x)
+        want = special.expit(x.astype(np.float64))
+        assert got.dtype == np.float32
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want.astype(np.float32)))
+        x64 = x.astype(np.float64)
+        assert np.array_equal(sigmoid(x64), special.expit(x64))
+
+    def test_float64_gelu_rounds_as_the_three_term_formula(self):
+        x = rng.normal(scale=3.0, size=(400, 60))
+        g = rng.normal(size=x.shape)
+        e = special.erf(x / math.sqrt(2.0))
+        assert np.array_equal(gelu(x), 0.5 * x * (1.0 + e))
+        cdf = 0.5 * (1.0 + e)
+        want = g * (cdf + x * (np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)))
+        assert np.array_equal(normal_cdf(x), cdf)
+        assert np.array_equal(gelu_backward(g, x, normal_cdf(x)), want)
+
+    def test_float32_gelu_stays_float32_near_float64(self):
+        x = rng.normal(scale=3.0, size=(200, 50))
+        g = rng.normal(size=x.shape)
+        x32, g32 = x.astype(np.float32), g.astype(np.float32)
+        back32 = gelu_backward(g32, x32, normal_cdf(x32))
+        assert gelu(x32).dtype == back32.dtype == np.float32
+        assert np.abs(gelu(x32) - gelu(x)).max() < 1e-5
+        assert np.abs(back32 - gelu_backward(g, x, normal_cdf(x))).max() < 1e-5
 
 
 class TestFiniteDiffCheck:

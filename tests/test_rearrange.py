@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -224,13 +225,35 @@ def test_knn_window_contract_on_large_bags(n, w, seed, shuffled):
             assert tuple(rest_key[rest_rank[0]]) > tuple(key[-1])
 
 
+def test_two_far_clusters_match_full_scan_quickly():
+    """Two 3,000-patch clusters 4e6 grid cells apart: a dense grid over the
+    bag would have about 1e13 cells, so the search must work on the rows."""
+    block = np.array([(x, y) for y in range(60) for x in range(50)])
+    rng = np.random.default_rng(9)
+    for axis in (0, 1):
+        far = block.copy()
+        far[:, axis] += 4_000_000
+        cells = np.concatenate([block, far])
+        for rows in (np.arange(len(cells)), rng.permutation(len(cells))):
+            bag = PatchBag(wsi_id="two", coords=cells[rows] * 256,
+                           features=rng.normal(size=(len(cells), 2)).astype(np.float32))
+            start = time.perf_counter()
+            got = knn_rearrange(bag, 49)
+            assert time.perf_counter() - start < 1.0
+            want = scan_knn_rearrange(bag, 49)
+            assert np.array_equal(got.source_rows, want.source_rows)
+            assert np.array_equal(got.scaled_coords, want.scaled_coords)
+
+
 def test_cli_import_leaves_scipy_spatial_unloaded():
+    """Importing the CLI loads no scipy module at all, scipy.spatial included."""
     src = str(Path(hvtsurv.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, hvtsurv.cli; print('scipy.spatial' in sys.modules)"
+    probe = ("import sys, hvtsurv.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 class TestRasterOrder:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special
 
 from hvtsurv.errors import UndefinedStatisticError, ValidationError
 from hvtsurv.survstats import (
@@ -138,6 +139,25 @@ class TestLogrank:
                 continue
             assert chi >= 0.0
             assert 0.0 < p <= 1.0
+
+    def test_p_value_is_gammaincc_to_1e_12(self):
+        """The p-value is the chi-square(1) tail, gammaincc(0.5, chi / 2),
+        from chi = 0 up to 1357, where it is about 5e-297."""
+        rng = np.random.default_rng(8)
+        chis = [0.0]
+        g = [P(f"x{i}", 0, float(i + 1), i % 2) for i in range(6)]
+        assert logrank_test(g, list(g)) == (0.0, 1.0)
+        for n, shift in [(4, 0.0), (12, 1.0), (40, 3.0), (120, 6.0), (300, 10.0),
+                         (400, 15.0), (500, 25.0), (600, 40.0), (700, 60.0)]:
+            a = [P(f"a{i}", 0, float(rng.exponential(10.0)), int(rng.random() < 0.2))
+                 for i in range(n)]
+            b = [P(f"b{i}", 0, float(shift + rng.exponential(10.0)), int(rng.random() < 0.2))
+                 for i in range(n)]
+            chi, p = logrank_test(a, b)
+            want = special.gammaincc(0.5, chi / 2.0)
+            assert abs(p - want) <= 1e-12 * want, (chi, p, want)
+            chis.append(chi)
+        assert max(chis) > 1300.0
 
     def test_no_events(self):
         a = [P("a", 0, 1.0, 1)]
