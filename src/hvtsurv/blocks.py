@@ -3,8 +3,8 @@
 * piecewise bucketing of Manhattan distances into a small index range,
   which addresses a learnable (rows, heads) relative-position bias table,
 * windowed multi-head self-attention (pre-norm, residual, gelu MLP),
-  batched over all windows of a sub-bag, with an optional additive bias,
-* a deterministic stride shuffle that mixes rows across windows,
+  batched over all windows of its rows, with an optional additive bias,
+* a deterministic stride shuffle that mixes rows across windows, per block of rows,
 * gated attention pooling of a variable-length feature set.
 
 The kernels read their weights from a ParamStore by name: a block's
@@ -205,11 +205,15 @@ def window_attention_backward(grad: np.ndarray, state: dict, params: ParamStore,
             params.add_grad(f"{prefix}.{name}", g)
 
     h1 = state.pop("h1")
-    cdf = normal_cdf(h1)  # gelu(h1) is h1 * cdf, bit for bit
-    ga1, g_w2, g_b2 = linear_backward(grad, h1 * cdf, p("ffn_w2"))
-    add(ffn_w2=g_w2, ffn_b2=g_b2)
-    gu2, g_w1, g_b1 = linear_backward(gelu_backward(ga1, h1, cdf), state.pop("u2"),
-                                      p("ffn_w1"))
+    cdf = normal_cdf(h1)
+    g = h1 * cdf  # gelu(h1), bit for bit
+    add(ffn_w2=g.T @ grad, ffn_b2=grad.sum(axis=0))
+    # the MLP's (N, ffn_ratio*d) temporaries set the step's peak memory: the
+    # gradients overwrite gelu(h1), and h1 and its cdf go once spent
+    gelu_backward(np.matmul(grad, p("ffn_w2").T, out=g), h1, cdf)
+    del h1, cdf
+    gu2, g_w1, g_b1 = linear_backward(g, state.pop("u2"), p("ffn_w1"))
+    del g
     add(ffn_w1=g_w1, ffn_b1=g_b1)
     gy_ln, g_gamma, g_beta = layer_norm_backward(gu2, state.pop("ln2_state"), p("ln2_gamma"))
     add(ln2_gamma=g_gamma, ln2_beta=g_beta)
@@ -246,6 +250,13 @@ def spatial_shuffle(length: int, w: int) -> np.ndarray:
     if length % w:
         raise ShapeError(f"window size {w} does not divide length {length}")
     return np.arange(length).reshape(length // w, w).T.ravel()
+
+
+def block_shuffle(lengths, w: int) -> np.ndarray:
+    """Block-diagonal spatial_shuffle: that of each block of ``lengths``
+    consecutive rows, offset by its first row, so no row leaves its block."""
+    starts = np.cumsum([0, *lengths])
+    return np.concatenate([spatial_shuffle(n, w) + s for n, s in zip(lengths, starts)])
 
 
 def inverse_permutation(perm: np.ndarray) -> np.ndarray:

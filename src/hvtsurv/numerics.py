@@ -36,7 +36,7 @@ _ERF32_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
             -1.60960333262415e-02)
 _ERF32_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
             -7.37332916720468e-03, -1.42647390514189e-02)
-# elements per block of the float32 erf: 256 KiB per temporary
+# elements per block of the float32 erf and of gelu_backward: 256 KiB per float32 temporary
 _ERF32_BLOCK = 1 << 16
 
 # 2-D float ndarray in this module's contracts: float64 for training and
@@ -104,11 +104,11 @@ def linear_backward(grad: DenseMatrix, x: DenseMatrix, weight: DenseMatrix):
 
 
 def softmax_rows(m: DenseMatrix) -> DenseMatrix:
-    """Softmax over the last axis, in one fresh array; m is left as it is."""
-    e = m - m.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    """Softmax over the last axis, computed in place: m is overwritten and returned."""
+    m -= m.max(axis=-1, keepdims=True)
+    np.exp(m, out=m)
+    m /= m.sum(axis=-1, keepdims=True)
+    return m
 
 
 def softmax_rows_backward(grad: DenseMatrix, out: DenseMatrix) -> DenseMatrix:
@@ -184,15 +184,19 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 
 def gelu_backward(grad: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """grad * (cdf + x * pdf) at x, given cdf = normal_cdf(x)."""
-    out = np.multiply(x, -0.5)
-    out *= x
-    np.exp(out, out=out)
-    out /= _SQRT_2PI
-    out *= x
-    out += cdf
-    out *= grad
-    return out
+    """grad * (cdf + x * pdf) at x, given cdf = normal_cdf(x), written into
+    ``grad`` (when it is contiguous) block by block, as erf is; returns it."""
+    g, xf, cf = grad.reshape(-1), x.reshape(-1), cdf.reshape(-1)
+    for start in range(0, g.size, _ERF32_BLOCK):
+        span = slice(start, start + _ERF32_BLOCK)
+        d = np.multiply(xf[span], -0.5)
+        d *= xf[span]
+        np.exp(d, out=d)
+        d /= _SQRT_2PI
+        d *= xf[span]
+        d += cf[span]
+        g[span] *= d
+    return g.reshape(grad.shape)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

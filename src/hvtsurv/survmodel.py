@@ -1,10 +1,11 @@
 """The patient-level survival model and its training loop.
 
-Per sub-WSI the pipeline is: linear feature reduction, a window-attention
-layer with Manhattan-distance bias (local interactions), and a shuffled
-window-attention layer (slide-wide interactions). All sub-WSI outputs of
-a patient are concatenated and attention-pooled; a linear head emits one
-logit per survival interval, squashed to conditional hazards.
+A patient's sub-WSI bags are stacked into one block of rows, which passes
+through a linear feature reduction, a window-attention layer with
+Manhattan-distance bias (local interactions), and a window-attention
+layer over each sub-WSI's shuffled rows (slide-wide interactions). The
+rows are then attention-pooled; a linear head emits one logit per
+survival interval, squashed to conditional hazards.
 
 The discrete-time likelihood loss, a hand-rolled AdamW loop with early
 stopping, the checkpoint container, and the attention-export procedure
@@ -28,9 +29,9 @@ from .blocks import (
     attn_pool,
     attn_pool_backward,
     block_layout,
+    block_shuffle,
     inverse_permutation,
     manhattan_bucket_index,
-    spatial_shuffle,
     window_attention,
     window_attention_backward,
 )
@@ -204,53 +205,49 @@ def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
     """Run a preprocessed patient through the model, in the dtype of
     ``params`` (float32 for a loaded checkpoint, float64 otherwise).
 
+    The sub-bags' rows are stacked in order into one (N, d) block, and
+    each layer runs once on it: windows are whole within a sub-bag, and
+    the shuffle permutes rows only within their own sub-bag.
+
     Returns a HazardOutput, or (HazardOutput, state) when either flag is
-    set. ``state["bags"]`` holds one dict per sub-bag, in order: with
-    ``return_state`` everything the backward pass needs; with
-    ``want_attention`` alone only the shuffle ``perm`` and the
-    ``local`` and ``shuffle`` attention, each under key ``"attn"``.
-    ``state["pool"]`` is attn_pool's state.
+    set. ``state`` holds the stacked shuffle ``perm``, the ``local`` and
+    ``shuffle`` layer states and ``pool``, attn_pool's state. With
+    ``return_state`` it holds everything the backward pass needs; with
+    ``want_attention`` alone each layer state is only its ``"attn"``.
     """
     if not sub_bags:
         raise ValidationError("patient has no sub-WSI bags")
     w, heads = cfg.window_size, cfg.n_heads
     keep = return_state or want_attention
+    lengths = [sub.features.shape[0] for sub in sub_bags]
+    if any(n % w for n in lengths):
+        raise ValidationError("sub-WSI row count is not a multiple of the window size")
 
-    per_bag_states = []
-    outputs = []
-    for sub in sub_bags:
-        x = np.asarray(sub.features, dtype=params.flat.dtype)
-        if x.shape[0] % w:
-            raise ValidationError("sub-WSI row count is not a multiple of the window size")
-        h0 = linear(x, params["reduce.weight"], params["reduce.bias"])
+    def layer(h, prefix, idx=None):
+        """One attention block on the stacked rows, and the state to keep of it."""
+        if not keep:
+            return window_attention(h, params, prefix, heads, w, idx), None
+        h, layer_state = window_attention(h, params, prefix, heads, w, idx, return_state=True)
+        return h, layer_state if return_state else dict(attn=layer_state["attn"])
 
-        idx = manhattan_bucket_index(sub.scaled_coords.reshape(-1, w, 2), cfg.bucket)
-        h1 = window_attention(h0, params, "local", heads, w, idx, return_state=keep)
-        if keep:
-            h1, local_state = h1
-
-        perm = spatial_shuffle(x.shape[0], w)
-        inv = inverse_permutation(perm)
-        h2 = window_attention(h1[perm], params, "shuffle", heads, w, return_state=keep)
-        if keep:
-            h2, shuffle_state = h2
-        outputs.append(h2[inv])
-
-        if return_state:
-            per_bag_states.append(dict(x=x, perm=perm, inv=inv, local=local_state,
-                                       shuffle=shuffle_state))
-        elif want_attention:
-            per_bag_states.append(dict(perm=perm, local=dict(attn=local_state["attn"]),
-                                       shuffle=dict(attn=shuffle_state["attn"])))
-
-    pooled, _, pool_state = attn_pool(np.vstack(outputs), params, return_state=True)
+    x = np.concatenate([sub.features for sub in sub_bags], dtype=params.flat.dtype)
+    coords = np.concatenate([sub.scaled_coords for sub in sub_bags]).reshape(-1, w, 2)
+    h, local = layer(linear(x, params["reduce.weight"], params["reduce.bias"]), "local",
+                     manhattan_bucket_index(coords, cfg.bucket))
+    perm = block_shuffle(lengths, w)
+    inv = inverse_permutation(perm)
+    h, shuffle = layer(h[perm], "shuffle")
+    pooled, _, pool_state = attn_pool(h[inv], params, return_state=True)
     logits = pooled @ params["head.weight"] + params["head.bias"]
     hazards = sigmoid(logits)
     survival = survival_from_hazards(hazards)
     out = HazardOutput(hazards=hazards, survival=survival, risk=float(-survival.sum()))
     if not keep:
         return out
-    return out, dict(bags=per_bag_states, pool=pool_state, pooled=pooled, hazards=hazards)
+    state = dict(perm=perm, local=local, shuffle=shuffle, pool=pool_state)
+    if return_state:
+        state.update(x=x, inv=inv, pooled=pooled, hazards=hazards)
+    return out, state
 
 
 def nll_loss(out: HazardOutput, label: int, censored: int) -> float:
@@ -290,21 +287,12 @@ def loss_and_grads(sub_bags: list[SubWsiBag], label: int, censored: int,
 
     params.add_grad("head.weight", np.outer(state["pooled"], d_logits))
     params.add_grad("head.bias", d_logits)
-    g_cat = attn_pool_backward(params["head.weight"] @ d_logits, state["pool"], params)
-
-    offset = 0
-    for bag_state in state["bags"]:
-        size = bag_state["x"].shape[0]
-        g_h2 = g_cat[offset : offset + size]
-        offset += size
-
-        g_h1 = window_attention_backward(g_h2[bag_state["perm"]], bag_state["shuffle"],
-                                         params, "shuffle")
-        g_h0 = window_attention_backward(g_h1[bag_state["inv"]], bag_state["local"],
-                                         params, "local")
-        _, g_w, g_b = linear_backward(g_h0, bag_state["x"], params["reduce.weight"])
-        params.add_grad("reduce.weight", g_w)
-        params.add_grad("reduce.bias", g_b)
+    g = attn_pool_backward(params["head.weight"] @ d_logits, state.pop("pool"), params)
+    g = window_attention_backward(g[state["perm"]], state.pop("shuffle"), params, "shuffle")
+    g = window_attention_backward(g[state["inv"]], state.pop("local"), params, "local")
+    _, g_w, g_b = linear_backward(g, state["x"], params["reduce.weight"])
+    params.add_grad("reduce.weight", g_w)
+    params.add_grad("reduce.bias", g_b)
     return loss
 
 
@@ -390,19 +378,10 @@ def fit(records: list[PatientRecord], train_idx, val_idx, cfg: HVTSurvConfig,
             optimizer.step()
             train_losses.append(loss)
 
-        val_losses = []
-        val_preds = []
-        for i in val_idx:
-            rec = records[i]
-            sub = preprocess_patient(rec, cfg, EVAL_MASK_SEED, cache)
-            out = forward(sub, params, cfg)
-            val_losses.append(nll_loss(out, rec.interval_label, rec.follow_up.censored))
-            val_preds.append(survstats.RiskPrediction(
-                patient_id=rec.patient_id, risk=out.risk,
-                time_months=rec.follow_up.time_months,
-                censored=rec.follow_up.censored,
-            ))
-        val_loss = float(np.mean(val_losses))
+        val_preds, val_outs = _evaluate(records, val_idx, params, cfg, cache)
+        val_loss = float(np.mean([nll_loss(out, records[i].interval_label,
+                                           records[i].follow_up.censored)
+                                  for i, out in zip(val_idx, val_outs)]))
         if not np.isfinite(val_loss):
             raise NumericError(f"non-finite validation loss at epoch {epoch}")
         try:
@@ -425,18 +404,25 @@ def fit(records: list[PatientRecord], train_idx, val_idx, cfg: HVTSurvConfig,
     return best
 
 
-def predict_risks(records: list[PatientRecord], indices, params: ParamStore, cfg: HVTSurvConfig,
-                  cache: dict | None = None) -> list[survstats.RiskPrediction]:
-    """Risks of records[i], i in indices, under the evaluation mask; ``cache``
-    is preprocess_patient's rearranged-bag cache."""
-    preds = []
+def _evaluate(records: list[PatientRecord], indices, params: ParamStore, cfg: HVTSurvConfig,
+              cache: dict | None) -> tuple[list[survstats.RiskPrediction], list[HazardOutput]]:
+    """Risk predictions and forward outputs of records[i], i in indices, under the eval mask."""
+    preds, outs = [], []
     for i in indices:
         rec = records[i]
         out = forward(preprocess_patient(rec, cfg, EVAL_MASK_SEED, cache), params, cfg)
         preds.append(survstats.RiskPrediction(
             patient_id=rec.patient_id, risk=out.risk,
             time_months=rec.follow_up.time_months, censored=rec.follow_up.censored))
-    return preds
+        outs.append(out)
+    return preds, outs
+
+
+def predict_risks(records: list[PatientRecord], indices, params: ParamStore, cfg: HVTSurvConfig,
+                  cache: dict | None = None) -> list[survstats.RiskPrediction]:
+    """Risks of records[i], i in indices, under the evaluation mask; ``cache``
+    is preprocess_patient's rearranged-bag cache."""
+    return _evaluate(records, indices, params, cfg, cache)[0]
 
 
 def export_attention(sub_bags: list[SubWsiBag], state: dict,
@@ -448,8 +434,8 @@ def export_attention(sub_bags: list[SubWsiBag], state: dict,
     then over the query axis to score each patch row; per layer, the
     lowest ``drop_fraction`` of scores are zeroed and the rest min-max
     rescaled to [0, 1] (a constant score vector rescales to all zeros).
-    Row j of a sub-bag's shuffle layer is its pre-shuffle row perm[j],
-    and is tagged as such.
+    Rows follow the stacked order of forward; row j of the shuffle layer
+    is the stacked row perm[j], and is tagged as such.
     """
     if not 0.0 <= drop_fraction < 1.0:
         raise ValidationError(f"drop_fraction must lie in [0, 1), got {drop_fraction}")
@@ -465,22 +451,21 @@ def export_attention(sub_bags: list[SubWsiBag], state: dict,
         return (scores - scores.min()) / span
 
     def window_scores(layer: str) -> np.ndarray:
-        return np.concatenate([b[layer]["attn"].mean(axis=1).mean(axis=1).ravel()
-                               for b in state["bags"]])
+        return state[layer]["attn"].mean(axis=1).mean(axis=1).ravel()
 
-    as_is = [slice(None)] * len(sub_bags)
+    tags = [(sub.source_wsi, row, gx, gy) for sub in sub_bags
+            for row, (gx, gy) in zip(sub.source_rows.tolist(), sub.scaled_coords.tolist())]
+    as_is = range(len(tags))
     per_layer = {
         "local": (as_is, window_scores("local")),
-        "shuffle": ([b["perm"] for b in state["bags"]], window_scores("shuffle")),
+        "shuffle": (state["perm"].tolist(), window_scores("shuffle")),
         "pool": (as_is, state["pool"]["weights"]),
     }
     layers: dict[str, list[dict]] = {}
-    for name, (orders, raw) in per_layer.items():
-        tags = ((sub.source_wsi, row, gx, gy) for sub, order in zip(sub_bags, orders)
-                for row, (gx, gy) in zip(sub.source_rows[order].tolist(),
-                                         sub.scaled_coords[order].tolist()))
+    for name, (order, raw) in per_layer.items():
         layers[name] = [dict(wsi_id=wsi, patch_index=row, gx=gx, gy=gy, score=score)
-                        for (wsi, row, gx, gy), score in zip(tags, finalize(raw).tolist())]
+                        for (wsi, row, gx, gy), score in zip((tags[j] for j in order),
+                                                             finalize(raw).tolist())]
     return layers
 
 

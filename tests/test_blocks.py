@@ -8,6 +8,7 @@ from hvtsurv.blocks import (
     attn_pool,
     attn_pool_backward,
     block_layout,
+    block_shuffle,
     bucket_distance,
     bucket_distances,
     inverse_permutation,
@@ -300,6 +301,23 @@ class TestSpatialShuffle:
     def test_indivisible_length(self):
         with pytest.raises(ShapeError):
             spatial_shuffle(7, 2)
+
+    def test_block_shuffle_of_one_block_is_spatial_shuffle(self):
+        for w, n_windows in ((1, 3), (3, 4), (5, 5), (7, 2)):
+            length = w * n_windows
+            assert np.array_equal(block_shuffle([length], w), spatial_shuffle(length, w))
+
+    def test_block_shuffle_keeps_every_row_in_its_block(self):
+        for _ in range(30):
+            w = int(rng.integers(1, 9))
+            lengths = [w * int(rng.integers(1, 9)) for _ in range(int(rng.integers(1, 5)))]
+            perm = block_shuffle(lengths, w)
+            assert sorted(perm.tolist()) == list(range(sum(lengths)))
+            start = 0
+            for n in lengths:
+                block = perm[start : start + n]
+                assert np.array_equal(block - start, spatial_shuffle(n, w))
+                start += n
 
 
 class TestShuffleWindowAttention:

@@ -66,18 +66,18 @@ class TestSoftmaxRows:
             assert np.all((out > 0) & (out < 1))
 
     def test_gradient(self):
-        check_op(lambda: (rand(4, 6),), softmax_rows,
-                 lambda g, m: softmax_rows_backward(g, softmax_rows(m)))
+        # softmax_rows overwrites its input, which here is the checked parameter
+        check_op(lambda: (rand(4, 6),), lambda m: softmax_rows(m.copy()),
+                 lambda g, m: softmax_rows_backward(g, softmax_rows(m.copy())))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_input_untouched_and_equal_to_three_temporaries(self, dtype):
+    def test_in_place_and_equal_to_three_temporaries(self, dtype):
         m = rng.normal(scale=4.0, size=(3, 4, 5, 9)).astype(dtype)
-        before = m.copy()
         shifted = m - m.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         expected = e / e.sum(axis=-1, keepdims=True)
         out = softmax_rows(m)
-        assert np.array_equal(m, before)
+        assert out is m
         assert out.dtype == dtype and np.array_equal(out, expected)
 
 
@@ -118,7 +118,9 @@ class TestElementwise:
                  lambda gr, x, g, b: layer_norm_backward(gr, layer_norm(x, g, b)[1], g))
 
     def test_gelu_gradient(self):
-        check_op(lambda: (rand(4, 5),), gelu, lambda g, x: gelu_backward(g, x, normal_cdf(x)))
+        # gelu_backward writes into its grad argument, here the probe that check_op reuses
+        check_op(lambda: (rand(4, 5),), gelu,
+                 lambda g, x: gelu_backward(g.copy(), x, normal_cdf(x)))
 
     def test_tanh_gradient(self):
         check_op(lambda: (rand(4, 5),), tanh,
@@ -167,6 +169,18 @@ class TestErfAndSigmoid:
         want = g * (cdf + x * (np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)))
         assert np.array_equal(normal_cdf(x), cdf)
         assert np.array_equal(gelu_backward(g, x, normal_cdf(x)), want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gelu_backward_in_place_across_blocks(self, dtype):
+        # 150,000 elements: two whole blocks of _ERF32_BLOCK and a partial one
+        x = rng.normal(scale=3.0, size=(1000, 150)).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        cdf = normal_cdf(x)
+        want = g * (cdf + x * (np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)))
+        strided = gelu_backward(g.copy().T, x.T, cdf.T)   # not written in place
+        back = gelu_backward(g, x, cdf)
+        assert np.shares_memory(back, g) and np.array_equal(back, want)
+        assert np.array_equal(strided, want.T)
 
     def test_float32_gelu_stays_float32_near_float64(self):
         x = rng.normal(scale=3.0, size=(200, 50))

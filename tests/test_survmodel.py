@@ -13,9 +13,18 @@ from hvtsurv.bagio import (
     load_manifest,
     stratified_kfold,
 )
-from hvtsurv.blocks import BucketParams, spatial_shuffle
+from hvtsurv.blocks import (
+    BucketParams,
+    attn_pool,
+    attn_pool_backward,
+    inverse_permutation,
+    manhattan_bucket_index,
+    spatial_shuffle,
+    window_attention,
+    window_attention_backward,
+)
 from hvtsurv.errors import FormatError, ValidationError
-from hvtsurv.numerics import ParamStore, finite_diff_check
+from hvtsurv.numerics import ParamStore, finite_diff_check, linear, linear_backward, sigmoid
 from hvtsurv.rearrange import SubWsiBag
 from hvtsurv.seeding import derive_seed
 from hvtsurv.survmodel import (
@@ -25,6 +34,7 @@ from hvtsurv.survmodel import (
     AdamW,
     HVTSurvConfig,
     HazardOutput,
+    _nll_grad_logits,
     config_from_items,
     config_items,
     export_attention,
@@ -315,8 +325,7 @@ def hand_built_attention(pool_weights, w=2, heads=2):
                     scaled_coords=np.ones((n, 2), dtype=np.int64), source_rows=np.arange(n),
                     window_ids=np.arange(n // w), window_size=w)
     attn = np.full((n // w, heads, w, w), 1.0 / w)
-    state = dict(bags=[dict(perm=spatial_shuffle(n, w), local=dict(attn=attn),
-                            shuffle=dict(attn=attn))],
+    state = dict(perm=spatial_shuffle(n, w), local=dict(attn=attn), shuffle=dict(attn=attn),
                  pool=dict(weights=pool_weights))
     return [sub], state
 
@@ -331,6 +340,82 @@ def two_slide_patient(pid="P9"):
     return PatientRecord(pid, bags, FollowUp(12.0, 0), interval_label=1)
 
 
+STACK_CFG = HVTSurvConfig(input_dim=12, model_dim=16, window_size=5, n_heads=2,
+                          n_sub_wsis=2, n_intervals=4, pool_hidden=8)
+
+
+def per_sub_bag_forward(subs, params, cfg):
+    """The model as a loop over sub-bags, each with its own reduce, bucket
+    index, kernel calls and shuffle; returns the hazards and each sub-bag's
+    (x, perm, local state, shuffle state), then the pooling state."""
+    w, heads = cfg.window_size, cfg.n_heads
+    outputs, states = [], []
+    for sub in subs:
+        x = np.asarray(sub.features, dtype=params.flat.dtype)
+        idx = manhattan_bucket_index(sub.scaled_coords.reshape(-1, w, 2), cfg.bucket)
+        h1, local = window_attention(linear(x, params["reduce.weight"], params["reduce.bias"]),
+                                     params, "local", heads, w, idx, return_state=True)
+        perm = spatial_shuffle(x.shape[0], w)
+        h2, shuffle = window_attention(h1[perm], params, "shuffle", heads, w, return_state=True)
+        outputs.append(h2[inverse_permutation(perm)])
+        states.append((x, perm, local, shuffle))
+    pooled, _, pool_state = attn_pool(np.vstack(outputs), params, return_state=True)
+    hazards = sigmoid(pooled @ params["head.weight"] + params["head.bias"])
+    return hazards, pooled, states, pool_state
+
+
+def per_sub_bag_loss_and_grads(subs, label, censored, params, cfg):
+    """loss_and_grads with the backward as a loop over sub-bags."""
+    hazards, pooled, states, pool_state = per_sub_bag_forward(subs, params, cfg)
+    survival = survival_from_hazards(hazards)
+    loss = nll_loss(HazardOutput(hazards, survival, float(-survival.sum())), label, censored)
+    d_logits = _nll_grad_logits(hazards, label, censored)
+    params.add_grad("head.weight", np.outer(pooled, d_logits))
+    params.add_grad("head.bias", d_logits)
+    g_cat = attn_pool_backward(params["head.weight"] @ d_logits, pool_state, params)
+    offset = 0
+    for x, perm, local, shuffle in states:
+        g = g_cat[offset : offset + x.shape[0]]
+        offset += x.shape[0]
+        g = window_attention_backward(g[perm], shuffle, params, "shuffle")
+        g = window_attention_backward(g[inverse_permutation(perm)], local, params, "local")
+        _, g_w, g_b = linear_backward(g, x, params["reduce.weight"])
+        params.add_grad("reduce.weight", g_w)
+        params.add_grad("reduce.bias", g_b)
+    return loss
+
+
+class TestStackedPass:
+    """forward stacks the sub-bags into one row block; a loop over the
+    sub-bags is the reference."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_forward_equals_per_sub_bag_loop_bit_for_bit(self, dtype):
+        params = init_params(STACK_CFG, seed=8, scale=0.25)
+        if dtype == np.float32:
+            params = ParamStore({n: params[n].astype(np.float32) for n in params.names()})
+        for mask_seed in (7, 8, 9):
+            subs = preprocess_patient(two_slide_patient(), STACK_CFG, mask_seed)
+            assert len(subs) == 4 and len({len(sub.source_rows) for sub in subs}) > 1
+            out = forward(subs, params, STACK_CFG)
+            hazards = per_sub_bag_forward(subs, params, STACK_CFG)[0]
+            assert out.hazards.dtype == dtype
+            assert np.array_equal(out.hazards, hazards)
+            assert out.risk == float(-survival_from_hazards(hazards).sum())
+
+    def test_loss_and_grads_within_1e_12_of_per_sub_bag_loop(self):
+        subs = preprocess_patient(two_slide_patient(), STACK_CFG, 7)
+        stacked = init_params(STACK_CFG, seed=8, scale=0.25)
+        looped = stacked.copy()
+        stacked.zero_grads()
+        looped.zero_grads()
+        loss = loss_and_grads(subs, 1, 0, stacked, STACK_CFG)
+        assert loss == per_sub_bag_loss_and_grads(subs, 1, 0, looped, STACK_CFG)
+        for name in stacked.names():
+            want = looped.grad(name)
+            assert np.abs(stacked.grad(name) - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
 class TestExportAttention:
     def attention_for(self, patient, params, cfg, mask_seed=7):
         subs = preprocess_patient(patient, cfg, mask_seed)
@@ -339,9 +424,8 @@ class TestExportAttention:
 
     def test_matrices_row_stochastic(self):
         _, state = self.attention_for(make_patient("P1"), init_params(MICRO_CFG, 1), MICRO_CFG)
-        for bag in state["bags"]:
-            for layer in ("local", "shuffle"):
-                assert np.allclose(bag[layer]["attn"].sum(axis=-1), 1.0, atol=1e-6)
+        for layer in ("local", "shuffle"):
+            assert np.allclose(state[layer]["attn"].sum(axis=-1), 1.0, atol=1e-6)
         assert np.isclose(state["pool"]["weights"].sum(), 1.0)
 
     def test_drop_fraction_zero_keeps_everything(self):
@@ -380,15 +464,17 @@ class TestExportAttention:
         for layer in ("local", "shuffle"):
             rows = layers[layer]
             # score of window row j: its attention column, averaged over heads and queries
-            raw = np.array([bag[layer]["attn"][k, :, :, j].mean()
-                            for bag in state["bags"]
-                            for k in range(bag[layer]["attn"].shape[0])
+            attn = state[layer]["attn"]
+            raw = np.array([attn[k, :, :, j].mean() for k in range(attn.shape[0])
                             for j in range(MICRO_CFG.window_size)])
             expect = (raw - raw.min()) / (raw.max() - raw.min())
             assert np.allclose([r["score"] for r in rows], expect, atol=1e-12)
+            # each sub-bag's rows in turn, its shuffle layer in its own shuffle order
             offset = 0
-            for sub, bag in zip(subs, state["bags"]):
-                order = bag["perm"] if layer == "shuffle" else np.arange(len(sub.source_rows))
+            for sub in subs:
+                n = len(sub.source_rows)
+                order = (spatial_shuffle(n, MICRO_CFG.window_size) if layer == "shuffle"
+                         else np.arange(n))
                 for j, src in enumerate(order):
                     row = rows[offset + j]
                     assert row["wsi_id"] == sub.source_wsi
@@ -401,13 +487,13 @@ class TestExportAttention:
         params = init_params(MICRO_CFG, 3)
         subs, state = self.attention_for(two_slide_patient(), params, MICRO_CFG)
         _, full = forward(subs, params, MICRO_CFG, return_state=True)
-        assert len(state["bags"]) == len(subs)
-        for bag, full_bag in zip(state["bags"], full["bags"]):
-            assert set(bag) == {"perm", "local", "shuffle"}
-            assert set(bag["local"]) == set(bag["shuffle"]) == {"attn"}
-            assert np.array_equal(bag["perm"], full_bag["perm"])
-            for layer in ("local", "shuffle"):
-                assert np.array_equal(bag[layer]["attn"], full_bag[layer]["attn"])
+        assert len(subs) == 4
+        assert set(state) == {"perm", "local", "shuffle", "pool"}
+        assert set(state["local"]) == set(state["shuffle"]) == {"attn"}
+        assert state["perm"].size == sum(len(sub.source_rows) for sub in subs)
+        assert np.array_equal(state["perm"], full["perm"])
+        for layer in ("local", "shuffle"):
+            assert np.array_equal(state[layer]["attn"], full[layer]["attn"])
 
 
 class TestPlantedAttentionConcentration:
@@ -611,8 +697,7 @@ class TestCheckpoint:
         # a float64 scalar or cast anywhere on the path widens what follows it
         assert out.hazards.dtype == np.float32
         assert state["pool"]["t"].dtype == np.float32
-        for bag in state["bags"]:
-            assert bag["local"]["attn"].dtype == bag["shuffle"]["attn"].dtype == np.float32
+        assert state["local"]["attn"].dtype == state["shuffle"]["attn"].dtype == np.float32
         widened = ParamStore({name: loaded[name].astype(np.float64) for name in loaded.names()})
         assert widened.flat.dtype == np.float64
         assert abs(forward(subs, widened, cfg).risk - out.risk) <= 1e-5
