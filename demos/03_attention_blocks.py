@@ -31,7 +31,8 @@ print("short distances keep their own bucket; long ones compress "
       f"logarithmically and cap at {p.lam}\n")
 
 rng = np.random.default_rng(0)
-table = rng.normal(scale=0.02, size=(p.table_rows, 2))   # (buckets, heads)
+# one row per bucket 0..lambda, one column per head, drawn as the model draws it
+table = draw_tensors({"t": ((p.table_rows, 2), "table")}, rng)["t"]
 # two windows of four patches each, as (nW, w, 2) grid coordinates
 coords = np.array([[[1, 1], [2, 1], [1, 2], [5, 6]],
                    [[9, 9], [9, 10], [10, 10], [12, 9]]])

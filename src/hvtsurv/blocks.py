@@ -59,7 +59,7 @@ class BucketParams:
 
     @property
     def table_rows(self) -> int:
-        return 2 * self.lam + 1
+        return self.lam + 1  # one per bucket a distance maps to, 0..lam
 
 
 def bucket_distances(x, p: BucketParams) -> np.ndarray:
@@ -118,15 +118,14 @@ def bias_table_grad(g_scores: np.ndarray, idx: np.ndarray, n_rows: int) -> np.nd
 
 def block_layout(d: int, ffn_ratio: int) -> dict[str, tuple[tuple[int, ...], str]]:
     """The tensors of one attention block as name -> (shape, init), in draw
-    order; ``init`` is "ones", "zeros" or "block" (a std-0.02 normal draw
-    at the default init scale).
+    order; ``init`` is "ones", "zeros" or "normal".
     """
     hidden = ffn_ratio * d
     return {"ln1_gamma": ((d,), "ones"), "ln1_beta": ((d,), "zeros"),
-            **{n: ((d, d), "block") for n in ("wq", "wk", "wv", "wo")},
+            **{n: ((d, d), "normal") for n in ("wq", "wk", "wv", "wo")},
             "ln2_gamma": ((d,), "ones"), "ln2_beta": ((d,), "zeros"),
-            "ffn_w1": ((d, hidden), "block"), "ffn_b1": ((hidden,), "zeros"),
-            "ffn_w2": ((hidden, d), "block"), "ffn_b2": ((d,), "zeros")}
+            "ffn_w1": ((d, hidden), "normal"), "ffn_b1": ((hidden,), "zeros"),
+            "ffn_w2": ((hidden, d), "normal"), "ffn_b2": ((d,), "zeros")}
 
 
 def _windows(m: np.ndarray, w: int, heads: int) -> np.ndarray:

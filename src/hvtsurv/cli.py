@@ -222,9 +222,8 @@ def cmd_rearrange(rc: RunConfig, manifest: str, out: str, force: bool,
         with open(sidecar, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["row_index", "window_index", "gx", "gy"])
-            for i in range(reb.features.shape[0]):
-                writer.writerow([i, i // reb.window_size,
-                                 reb.scaled_coords[i, 0], reb.scaled_coords[i, 1]])
+            i = np.arange(reb.features.shape[0])
+            writer.writerows(np.column_stack([i, i // reb.window_size, reb.scaled_coords]).tolist())
         produced += [pbag_path, sidecar]
         if report:
             report_rows.append(dict(wsi_id=bag.wsi_id, knn_mean=window_mean_manhattan(reb),
@@ -265,8 +264,7 @@ def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool) -> dict:
             raise NumericError(f"fold {fold}: {exc}") from exc
         ckpt = out_dir / f"fold{fold}.ckpt"
         save_checkpoint(ckpt, result.params, cfg,
-                        extra={"fold": fold, "master_seed": rc.seed, "folds": rc.folds,
-                               "best_epoch": result.best_epoch})
+                        extra={"fold": fold, "folds": rc.folds, "best_epoch": result.best_epoch})
         histories[fold] = result.history
         produced.append(ckpt)
         log.info("fold %d: %d epochs, final val loss %s", fold, len(result.history),
@@ -290,7 +288,7 @@ def _fold_checkpoints(ckpt_dir: Path, seed: int, feature_dim: int) -> list[tuple
     """(params, config) of each fold*.ckpt file of one training run, in the
     order of the stored fold keys. Each file is read once.
 
-    All checkpoints must agree on the fold count, master seed, input_dim,
+    All checkpoints must agree on the fold count, seed, input_dim,
     window_size and n_intervals, and their fold keys must be exactly
     0..k-1 for k files.
     """
@@ -301,10 +299,8 @@ def _fold_checkpoints(ckpt_dir: Path, seed: int, feature_dim: int) -> list[tuple
     first = None
     for path in paths:
         params, cfg, extra = load_checkpoint(path)
-        run = dict(folds=int(extra.get("folds", -1)),
-                   master_seed=int(extra.get("master_seed", -1)),
-                   input_dim=cfg.input_dim, window_size=cfg.window_size,
-                   n_intervals=cfg.n_intervals)
+        run = dict(folds=int(extra.get("folds", -1)), seed=cfg.seed, input_dim=cfg.input_dim,
+                   window_size=cfg.window_size, n_intervals=cfg.n_intervals)
         if first is None:
             first = (path, run)
         elif run != first[1]:
@@ -319,9 +315,9 @@ def _fold_checkpoints(ckpt_dir: Path, seed: int, feature_dim: int) -> list[tuple
     if sorted(by_fold) != list(range(len(paths))):
         raise FormatError(f"checkpoint fold keys {sorted(by_fold)} are not "
                           f"0..{len(paths) - 1}, one per file")
-    if run["master_seed"] != seed:
+    if run["seed"] != seed:
         raise FormatError(
-            f"checkpoint/config mismatch: trained with seed {run['master_seed']}, "
+            f"checkpoint/config mismatch: trained with seed {run['seed']}, "
             f"evaluating with seed {seed}")
     if run["input_dim"] != feature_dim:
         raise FormatError(f"{path}: model expects {run['input_dim']}-dim features, "

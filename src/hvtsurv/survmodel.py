@@ -36,7 +36,7 @@ from .blocks import (
     window_attention_backward,
 )
 from .errors import FormatError, NumericError, UndefinedStatisticError, ValidationError
-from .numerics import ParamStore, linear, linear_backward, sigmoid
+from .numerics import ParamStore, linear, sigmoid
 from .rearrange import RearrangedBag, SubWsiBag, knn_rearrange, random_window_mask
 from .seeding import derive_seed, rng_for
 
@@ -140,7 +140,7 @@ def param_layout(cfg: HVTSurvConfig) -> dict[str, tuple[tuple[int, ...], str]]:
     return {
         "reduce.weight": ((cfg.input_dim, d), "normal"), "reduce.bias": ((d,), "zeros"),
         **{f"{prefix}.{n}": v for prefix in ("local", "shuffle") for n, v in block.items()},
-        "local.bias_table": ((cfg.bucket.table_rows, cfg.n_heads), "normal"),
+        "local.bias_table": ((cfg.bucket.table_rows, cfg.n_heads), "table"),
         "pool.V": ((cfg.pool_hidden, d), "normal"), "pool.U": ((1, cfg.pool_hidden), "normal"),
         "head.weight": ((d, cfg.n_intervals), "normal"), "head.bias": ((cfg.n_intervals,), "zeros"),
     }
@@ -149,12 +149,13 @@ def param_layout(cfg: HVTSurvConfig) -> dict[str, tuple[tuple[int, ...], str]]:
 def draw_tensors(layout: dict, rng: np.random.Generator, scale: float = 0.02) -> dict:
     """One array per name -> (shape, init) of ``layout``, drawn in its order.
 
-    ``init`` is "zeros", "ones", "normal" (std ``scale``) or "block": an
-    attention-block weight, drawn with std 0.02, then scaled by scale/0.02.
+    ``init`` is "zeros", "ones", "normal" (std ``scale``) or "table": the first
+    rows of a "normal" (2*rows - 1, heads) draw, the draw of the signed (2*lam+1)-row
+    bias table of earlier models, so the tensors drawn after it keep their values.
     """
     draw = {"zeros": np.zeros, "ones": np.ones,
             "normal": lambda shape: rng.normal(scale=scale, size=shape),
-            "block": lambda shape: rng.normal(scale=0.02, size=shape) * (scale / 0.02)}
+            "table": lambda s: rng.normal(scale=scale, size=(2 * s[0] - 1, *s[1:]))[: s[0]]}
     return {name: draw[init](shape) for name, (shape, init) in layout.items()}
 
 
@@ -290,9 +291,9 @@ def loss_and_grads(sub_bags: list[SubWsiBag], label: int, censored: int,
     g = attn_pool_backward(params["head.weight"] @ d_logits, state.pop("pool"), params)
     g = window_attention_backward(g[state["perm"]], state.pop("shuffle"), params, "shuffle")
     g = window_attention_backward(g[state["inv"]], state.pop("local"), params, "local")
-    _, g_w, g_b = linear_backward(g, state["x"], params["reduce.weight"])
-    params.add_grad("reduce.weight", g_w)
-    params.add_grad("reduce.bias", g_b)
+    # weight and bias gradients only: nothing reads the reduce layer's input gradient
+    params.add_grad("reduce.weight", state["x"].T @ g)
+    params.add_grad("reduce.bias", g.sum(axis=0))
     return loss
 
 
@@ -502,7 +503,9 @@ def load_checkpoint(path):
 
     Every config key must be present; keys that are not config keys come
     back as the extra string values. The tensors must be exactly those of
-    param_layout(config), each once and with its layout shape.
+    param_layout(config), each once and with its layout shape; the signed
+    (2*lam+1)-row bias table of older checkpoints loads as its first lam+1
+    rows, the only ones a Manhattan distance reads.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -532,11 +535,13 @@ def load_checkpoint(path):
             shape = struct.unpack_from(f"<{ndim}I", raw, offset)
             offset += 4 * ndim
             expected = layout[name][0] if name in layout else "no such tensor"
-            if name in arrays or shape != expected:
+            signed = name == "local.bias_table" and shape == (2 * cfg.bucket.lam + 1, cfg.n_heads)
+            if name in arrays or (shape != expected and not signed):
                 raise FormatError(f"{path}: tensor {name!r} of shape {shape} is repeated or "
                                   f"unlike the config's layout ({expected})")
             count = int(np.prod(shape)) if ndim else 1
-            arrays[name] = np.frombuffer(raw, "<f4", count, offset).reshape(shape)
+            arr = np.frombuffer(raw, "<f4", count, offset).reshape(shape)
+            arrays[name] = arr[: expected[0]] if signed else arr
             offset += 4 * count
     except (struct.error, UnicodeDecodeError, KeyError, ValueError) as exc:
         raise FormatError(f"{path}: corrupt checkpoint ({exc})") from exc

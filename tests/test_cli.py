@@ -251,6 +251,26 @@ class TestTrainEvalAttn:
                 "--seed", "99"]
         assert cli.main(args) == 1
 
+    def test_eval_checks_the_checkpoint_seed_key(self, cohort, trained, tmp_path):
+        # the run seed is stored once, as the config's seed key
+        import dataclasses
+        from hvtsurv.survmodel import load_checkpoint, save_checkpoint
+        ckpts = tmp_path / "seed5"
+        ckpts.mkdir()
+        for path in trained.glob("fold*.ckpt"):
+            params, cfg, extra = load_checkpoint(path)
+            extra.pop("master_seed", None)
+            save_checkpoint(ckpts / path.name, params, dataclasses.replace(cfg, seed=5), extra)
+            assert b"master_seed" not in (ckpts / path.name).read_bytes()
+        manifest = str(cohort / "manifest.csv")
+        with pytest.raises(FormatError, match="trained with seed 5, evaluating with seed 0"):
+            cli.cmd_eval(cli.build_run_config({}, {"seed": 0}), manifest, str(ckpts),
+                         str(tmp_path / "e0"), force=False)
+        cli.cmd_eval(cli.build_run_config({}, {"seed": 5}), manifest, str(ckpts),
+                     str(tmp_path / "e5"), force=False)
+        scored = {r["patient_id"] for r in read_csv(tmp_path / "e5" / "risks.csv")}
+        assert scored == {r["patient_id"] for r in read_csv(cohort / "manifest.csv")}
+
     def test_attn_unknown_patient(self, cohort, trained, tmp_path):
         args = ["attn", "--manifest", str(cohort / "manifest.csv"),
                 "--checkpoint", str(trained / "fold0.ckpt"),
@@ -449,7 +469,7 @@ class TestConfigReachesCommands:
         _, cfg, extra = load_checkpoint(out / "fold0.ckpt")
         items = config_items(cfg)
         assert {k: items[k] for k in values} == values
-        assert (items["seed"], extra["master_seed"]) == (6, "6")
+        assert items["seed"] == 6 and "master_seed" not in extra
 
     def test_eval_needs_no_interval_config(self, tmp_path):
         # eval takes the model from the checkpoints and labels no survival

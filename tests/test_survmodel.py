@@ -26,7 +26,7 @@ from hvtsurv.blocks import (
 from hvtsurv.errors import FormatError, ValidationError
 from hvtsurv.numerics import ParamStore, finite_diff_check, linear, linear_backward, sigmoid
 from hvtsurv.rearrange import SubWsiBag
-from hvtsurv.seeding import derive_seed
+from hvtsurv.seeding import derive_seed, rng_for
 from hvtsurv.survmodel import (
     ADAMW_SLICE,
     CONFIG_DEFAULTS,
@@ -784,6 +784,59 @@ def drop_key(text: str, key: str) -> str:
     kept = [line for line in text.splitlines() if line.partition("=")[0] != key]
     assert len(kept) == len(text.splitlines()) - 1
     return "".join(f"{line}\n" for line in kept)
+
+
+class TestBiasTableRows:
+    """The bias table keeps the lam+1 rows a Manhattan distance reads."""
+
+    @staticmethod
+    def signed_layout_draw(cfg, seed):
+        """Every tensor as drawn while the table had the signed layout's
+        2*lam+1 rows, each weight by rng.normal(scale=0.02)."""
+        rng = rng_for(seed, "init")
+        arrays = {}
+        for name, (shape, init) in param_layout(cfg).items():
+            if name == "local.bias_table":
+                shape = (2 * cfg.bucket.lam + 1, cfg.n_heads)
+            if init in ("zeros", "ones"):
+                arrays[name] = np.zeros(shape) if init == "zeros" else np.ones(shape)
+            else:
+                arrays[name] = rng.normal(scale=0.02, size=shape)
+        return arrays
+
+    @pytest.mark.parametrize("cfg", [HVTSurvConfig(), EVERY_FIELD_CFG], ids=["default", "lam5"])
+    def test_init_params_keep_the_signed_layout_draw(self, cfg):
+        params = init_params(cfg, seed=4)
+        old = self.signed_layout_draw(cfg, seed=4)
+        assert params["local.bias_table"].shape == (cfg.bucket.lam + 1, cfg.n_heads)
+        old["local.bias_table"] = old["local.bias_table"][: cfg.bucket.lam + 1]
+        assert params.names() == sorted(old)
+        for name, value in old.items():
+            assert np.array_equal(params[name], value), name
+
+    @pytest.mark.parametrize("cfg", [MICRO_CFG, EVERY_FIELD_CFG], ids=["lam7", "lam5"])
+    def test_older_signed_table_loads_its_first_rows(self, tmp_path, cfg):
+        lam, heads = cfg.bucket.lam, cfg.n_heads
+        params = init_params(cfg, seed=6, scale=0.25)
+        arrays = {name: params[name] for name in params.names()}
+        unread = np.random.default_rng(1).normal(size=(lam, heads))
+        paths = {}
+        for tag, table in (("new", arrays["local.bias_table"]),
+                           ("signed", np.vstack([arrays["local.bias_table"], unread])),
+                           ("too-long", np.vstack([arrays["local.bias_table"], unread[:1]]))):
+            paths[tag] = tmp_path / f"{tag}.ckpt"
+            save_checkpoint(paths[tag], ParamStore({**arrays, "local.bias_table": table}), cfg)
+        new, _, _ = load_checkpoint(paths["new"])
+        old, old_cfg, _ = load_checkpoint(paths["signed"])
+        assert old_cfg == cfg
+        assert new["local.bias_table"].shape == old["local.bias_table"].shape == (lam + 1, heads)
+        assert np.array_equal(old.flat, new.flat)
+        patient = make_patient("P1", n_wsis=2, d=cfg.input_dim, n_patches=4 * cfg.window_size)
+        subs = preprocess_patient(patient, cfg, EVAL_MASK_SEED)
+        a, b = forward(subs, new, cfg), forward(subs, old, cfg)
+        assert np.array_equal(a.hazards, b.hazards) and a.risk == b.risk
+        with pytest.raises(FormatError, match="bias_table"):
+            load_checkpoint(paths["too-long"])
 
 
 class TestConfigItems:

@@ -13,19 +13,22 @@ lines give the minimum, median and maximum mean C-index and the range
 of each fold's best epoch.
 
 The script measures how far criterion 5 moves when training rounds
-differently in the last bit; it gates nothing. It runs BLAS on one
-thread unless OPENBLAS_NUM_THREADS says otherwise: threaded BLAS rounds
-some training products differently, so results would depend on the
-core count. One run takes about as long as the test itself, and two
-runs can go side by side on two cores.
+differently in the last bit; it gates nothing. The runs go in
+``os.cpu_count()`` worker processes, and their lines print in PSEED
+order. BLAS runs on one thread per process unless OPENBLAS_NUM_THREADS
+says otherwise: threaded BLAS rounds some training products
+differently, so results would depend on the core count. One run takes
+about as long as the test itself.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import multiprocessing
 import os
 import re
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")   # before numpy loads BLAS
@@ -79,15 +82,19 @@ def run_once(module, pseed: int) -> dict:
     return dict(pseed=pseed, mean=mean, folds=folds, best_epochs=best_epochs, report=report)
 
 
+def run_in_worker(pseed: int) -> dict:
+    return run_once(load_acceptance_module(), pseed)
+
+
 def main(argv: list[str]) -> int:
     pseeds = [int(a) for a in argv] or list(range(1, 8))
-    module = load_acceptance_module()
     runs = []
-    for pseed in pseeds:
-        run = run_once(module, pseed)
-        runs.append(run)
-        print(f"pseed {pseed}: mean C-index {run['mean']:.4f}, folds {run['folds']}, "
-              f"best epochs {run['best_epochs']}", flush=True)
+    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, len(pseeds)),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        for run in pool.map(run_in_worker, pseeds):
+            runs.append(run)
+            print(f"pseed {run['pseed']}: mean C-index {run['mean']:.4f}, "
+                  f"folds {run['folds']}, best epochs {run['best_epochs']}", flush=True)
     means = [run["mean"] for run in runs]
     print(f"mean C-index over {len(runs)} runs: min {min(means):.4f}, "
           f"median {float(np.median(means)):.4f}, max {max(means):.4f}")
