@@ -25,7 +25,7 @@ from .errors import ShapeError, ValidationError
 from .numerics import (
     ParamStore,
     gelu,
-    gelu_backward,
+    gelu_and_slope,
     layer_norm,
     layer_norm_backward,
     linear,
@@ -168,24 +168,28 @@ def window_attention(x: np.ndarray, params: ParamStore, prefix: str, heads: int,
     qh = _windows(u @ p("wq"), w, heads)
     kh = _windows(u @ p("wk"), w, heads)
     vh = _windows(u @ p("wv"), w, heads)
+    del u
     scores = qh @ kh.transpose(0, 1, 3, 2)
     if idx is not None:
         scores += p("bias_table")[idx].transpose(0, 3, 1, 2)
     scores *= scale
     attn = softmax_rows(scores)
-    ctx = _rows(attn @ vh)
-    y = x + ctx @ p("wo")
+    y = _rows(attn @ vh) @ p("wo")
+    y += x
 
     u2, ln2_state = layer_norm(y, p("ln2_gamma"), p("ln2_beta"))
     h1 = linear(u2, p("ffn_w1"), p("ffn_b1"))
-    out = y + linear(gelu(h1), p("ffn_w2"), p("ffn_b2"))
+    del u2
+    out = linear(gelu(h1), p("ffn_w2"), p("ffn_b2"))
+    out += y
 
     if not return_state:
         return out
-    # gelu(h1) is not kept: the backward recomputes it (bit-identically),
-    # which saves an (N, ffn_ratio*d) array per layer at the step's peak
-    state = dict(u=u, ln1_state=ln1_state, qh=qh, kh=kh, vh=vh, attn=attn, ctx=ctx,
-                 ln2_state=ln2_state, u2=u2, h1=h1, scale=scale, idx=idx)
+    # Kept: what the backward cannot recompute exactly and cheaply. It
+    # recomputes the layer-norm outputs from their caches, the attention
+    # context from attn and vh, and gelu(h1) from h1, all bit for bit.
+    state = dict(ln1_state=ln1_state, qh=qh, kh=kh, vh=vh, attn=attn,
+                 ln2_state=ln2_state, h1=h1, scale=scale, idx=idx)
     return out, state
 
 
@@ -203,40 +207,50 @@ def window_attention_backward(grad: np.ndarray, state: dict, params: ParamStore,
         for name, g in grads.items():
             params.add_grad(f"{prefix}.{name}", g)
 
+    # The MLP's (N, ffn_ratio*d) arrays set the step's peak memory: h1 turns
+    # into gelu(h1) and then into its own gradient, and its cdf into the slope.
     h1 = state.pop("h1")
-    cdf = normal_cdf(h1)
-    g = h1 * cdf  # gelu(h1), bit for bit
-    add(ffn_w2=g.T @ grad, ffn_b2=grad.sum(axis=0))
-    # the MLP's (N, ffn_ratio*d) temporaries set the step's peak memory: the
-    # gradients overwrite gelu(h1), and h1 and its cdf go once spent
-    gelu_backward(np.matmul(grad, p("ffn_w2").T, out=g), h1, cdf)
-    del h1, cdf
-    gu2, g_w1, g_b1 = linear_backward(g, state.pop("u2"), p("ffn_w1"))
-    del g
+    h1, slope = gelu_and_slope(h1, normal_cdf(h1))
+    add(ffn_w2=h1.T @ grad, ffn_b2=grad.sum(axis=0))
+    g = np.matmul(grad, p("ffn_w2").T, out=h1)   # over gelu(h1), which is spent
+    g *= slope
+    del h1, slope
+    ln2_state = state.pop("ln2_state")
+    u2 = ln2_state[0] * p("ln2_gamma") + p("ln2_beta")   # layer_norm's output, bit for bit
+    gu2, g_w1, g_b1 = linear_backward(g, u2, p("ffn_w1"))
+    del g, u2
     add(ffn_w1=g_w1, ffn_b1=g_b1)
-    gy_ln, g_gamma, g_beta = layer_norm_backward(gu2, state.pop("ln2_state"), p("ln2_gamma"))
+    gy, g_gamma, g_beta = layer_norm_backward(gu2, ln2_state, p("ln2_gamma"))
+    del gu2, ln2_state
     add(ln2_gamma=g_gamma, ln2_beta=g_beta)
-    gy = grad + gy_ln
+    gy += grad
 
-    add(wo=state.pop("ctx").T @ gy)
     attn, vh = state.pop("attn"), state.pop("vh")
+    add(wo=_rows(attn @ vh).T @ gy)   # the forward's attention context, bit for bit
     gctx = _windows(gy @ p("wo").T, attn.shape[2], attn.shape[1])
-    g_attn = gctx @ vh.transpose(0, 1, 3, 2)
-    g_vh = attn.transpose(0, 1, 3, 2) @ gctx
-    g_scores = softmax_rows_backward(g_attn, attn) * state.pop("scale")
+    g_attn, g_vh = gctx @ vh.transpose(0, 1, 3, 2), attn.transpose(0, 1, 3, 2) @ gctx
+    del gctx, vh
+    g_scores = softmax_rows_backward(g_attn, attn)
+    del g_attn, attn
+    g_scores *= state.pop("scale")
     qh, kh = state.pop("qh"), state.pop("kh")
-    g_qh = g_scores @ kh
-    g_kh = g_scores.transpose(0, 1, 3, 2) @ qh
+    g_qh, g_kh = g_scores @ kh, g_scores.transpose(0, 1, 3, 2) @ qh
+    del qh, kh
     idx = state.pop("idx")
     if idx is not None:
         add(bias_table=bias_table_grad(g_scores, idx, p("bias_table").shape[0]))
+    del g_scores
     gq, gk, gv = _rows(g_qh), _rows(g_kh), _rows(g_vh)
-    u = state.pop("u")
+    del g_qh, g_kh, g_vh
+    ln1_state = state.pop("ln1_state")
+    u = ln1_state[0] * p("ln1_gamma") + p("ln1_beta")
     gu = gq @ p("wq").T + gk @ p("wk").T + gv @ p("wv").T
     add(wq=u.T @ gq, wk=u.T @ gk, wv=u.T @ gv)
-    gx_ln, g_gamma, g_beta = layer_norm_backward(gu, state.pop("ln1_state"), p("ln1_gamma"))
+    del u, gq, gk, gv
+    gx, g_gamma, g_beta = layer_norm_backward(gu, ln1_state, p("ln1_gamma"))
     add(ln1_gamma=g_gamma, ln1_beta=g_beta)
-    return gy + gx_ln
+    gx += gy
+    return gx
 
 
 def spatial_shuffle(length: int, w: int) -> np.ndarray:

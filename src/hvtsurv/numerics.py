@@ -36,7 +36,7 @@ _ERF32_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
             -1.60960333262415e-02)
 _ERF32_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
             -7.37332916720468e-03, -1.42647390514189e-02)
-# elements per block of the float32 erf and of gelu_backward: 256 KiB per float32 temporary
+# elements per block of the float32 erf and of gelu_and_slope: 256 KiB per float32 temporary
 _ERF32_BLOCK = 1 << 16
 
 # 2-D float ndarray in this module's contracts: float64 for training and
@@ -149,14 +149,19 @@ def _horner(x2: np.ndarray, coeffs) -> np.ndarray:
     return acc
 
 
-def erf(x: np.ndarray) -> np.ndarray:
+def erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """erf(x), written into ``out`` when given (x itself included) and else
+    into a fresh array; ``out`` must be contiguous."""
     if x.dtype != np.float32:
         from scipy import special
 
-        return special.erf(x)
+        return special.erf(x, out=out)
     flat = x.reshape(-1)
-    out = np.empty_like(flat)
-    # block by block, so that the temporaries of the ~15 passes stay in cache
+    if out is None:
+        out = np.empty(x.shape, x.dtype)
+    res = np.reshape(out, -1, copy=False)
+    # block by block, so that the temporaries of the ~15 passes stay in cache;
+    # each block is read (clipped into t) before it is written
     for start in range(0, flat.size, _ERF32_BLOCK):
         t = np.clip(flat[start : start + _ERF32_BLOCK], -4.0, 4.0)
         x2 = t * t
@@ -164,13 +169,15 @@ def erf(x: np.ndarray) -> np.ndarray:
         ratio *= t
         ratio /= _horner(x2, _ERF32_Q)
         # the fit overshoots 1 by up to 4e-7 just below the clamp
-        np.clip(ratio, -1.0, 1.0, out=out[start : start + _ERF32_BLOCK])
-    return out.reshape(x.shape)
+        np.clip(ratio, -1.0, 1.0, out=res[start : start + _ERF32_BLOCK])
+    return out
 
 
 def normal_cdf(x: np.ndarray) -> np.ndarray:
     """Standard normal CDF, (1 + erf(x / sqrt 2)) / 2, in one fresh array."""
-    cdf = erf(x / _SQRT2)
+    # a contiguous array, 0-d input included, that erf can overwrite
+    cdf = np.divide(x, _SQRT2, out=np.empty(x.shape, x.dtype))
+    erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     return cdf
@@ -183,20 +190,24 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def gelu_backward(grad: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """grad * (cdf + x * pdf) at x, given cdf = normal_cdf(x), written into
-    ``grad`` (when it is contiguous) block by block, as erf is; returns it."""
-    g, xf, cf = grad.reshape(-1), x.reshape(-1), cdf.reshape(-1)
-    for start in range(0, g.size, _ERF32_BLOCK):
+def gelu_and_slope(x: np.ndarray, cdf: np.ndarray):
+    """Given cdf = normal_cdf(x), overwrite x with gelu(x) and cdf with
+    gelu's slope cdf + x * pdf(x), block by block, as erf is; returns (x, cdf).
+
+    Both must be contiguous. gelu(x) rounds as ``gelu`` does, so a
+    backward can use it in place of the forward's value.
+    """
+    xf, cf = np.reshape(x, -1, copy=False), np.reshape(cdf, -1, copy=False)
+    for start in range(0, xf.size, _ERF32_BLOCK):
         span = slice(start, start + _ERF32_BLOCK)
         d = np.multiply(xf[span], -0.5)
         d *= xf[span]
         np.exp(d, out=d)
         d /= _SQRT_2PI
         d *= xf[span]
-        d += cf[span]
-        g[span] *= d
-    return g.reshape(grad.shape)
+        xf[span] *= cf[span]
+        cf[span] += d
+    return x, cdf
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

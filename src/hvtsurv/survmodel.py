@@ -201,14 +201,28 @@ def survival_from_hazards(hazards: np.ndarray) -> np.ndarray:
     return np.cumprod(1.0 - h)
 
 
+# Rows per chunk of a forward pass without state, rounded down to whole
+# windows: the chunk's (rows, ffn_ratio*d) temporaries stay small at slide scale.
+FORWARD_CHUNK_ROWS = 1024
+
+
+def _stacked_features(sub_bags: list[SubWsiBag], dtype) -> np.ndarray:
+    """The sub-bags' feature rows stacked in order, in the model's dtype."""
+    return np.concatenate([sub.features for sub in sub_bags], dtype=dtype)
+
+
 def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
             want_attention: bool = False, return_state: bool = False):
     """Run a preprocessed patient through the model, in the dtype of
     ``params`` (float32 for a loaded checkpoint, float64 otherwise).
 
     The sub-bags' rows are stacked in order into one (N, d) block, and
-    each layer runs once on it: windows are whole within a sub-bag, and
-    the shuffle permutes rows only within their own sub-bag.
+    each layer runs on it: windows are whole within a sub-bag, and the
+    shuffle permutes rows only within their own sub-bag. Without
+    ``return_state`` each attention layer runs on consecutive chunks of
+    whole windows, about FORWARD_CHUNK_ROWS rows each, which gives the
+    same output bit for bit: windows are independent, and a row split of
+    a product leaves its elements unchanged on the BLAS kernels tested.
 
     Returns a HazardOutput, or (HazardOutput, state) when either flag is
     set. ``state`` holds the stacked shuffle ``perm``, the ``local`` and
@@ -219,35 +233,46 @@ def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
     if not sub_bags:
         raise ValidationError("patient has no sub-WSI bags")
     w, heads = cfg.window_size, cfg.n_heads
-    keep = return_state or want_attention
     lengths = [sub.features.shape[0] for sub in sub_bags]
     if any(n % w for n in lengths):
         raise ValidationError("sub-WSI row count is not a multiple of the window size")
+    step = max(1, FORWARD_CHUNK_ROWS // w) * w
 
     def layer(h, prefix, idx=None):
         """One attention block on the stacked rows, and the state to keep of it."""
-        if not keep:
-            return window_attention(h, params, prefix, heads, w, idx), None
-        h, layer_state = window_attention(h, params, prefix, heads, w, idx, return_state=True)
-        return h, layer_state if return_state else dict(attn=layer_state["attn"])
+        if return_state:
+            return window_attention(h, params, prefix, heads, w, idx, return_state=True)
+        out, attn = np.empty_like(h), []
+        for start in range(0, len(h), step):
+            rows = slice(start, start + step)
+            chunk_idx = None if idx is None else idx[start // w : (start + step) // w]
+            if want_attention:
+                out[rows], chunk_state = window_attention(h[rows], params, prefix, heads, w,
+                                                          chunk_idx, return_state=True)
+                attn.append(chunk_state["attn"])
+            else:
+                out[rows] = window_attention(h[rows], params, prefix, heads, w, chunk_idx)
+        return out, dict(attn=np.concatenate(attn)) if want_attention else None
 
-    x = np.concatenate([sub.features for sub in sub_bags], dtype=params.flat.dtype)
+    x = _stacked_features(sub_bags, params.flat.dtype)
+    h = linear(x, params["reduce.weight"], params["reduce.bias"])
+    del x   # the backward stacks the features again
     coords = np.concatenate([sub.scaled_coords for sub in sub_bags]).reshape(-1, w, 2)
-    h, local = layer(linear(x, params["reduce.weight"], params["reduce.bias"]), "local",
-                     manhattan_bucket_index(coords, cfg.bucket))
+    h, local = layer(h, "local", manhattan_bucket_index(coords, cfg.bucket))
     perm = block_shuffle(lengths, w)
     inv = inverse_permutation(perm)
-    h, shuffle = layer(h[perm], "shuffle")
+    h = h[perm]   # the unpermuted rows go before the layer runs
+    h, shuffle = layer(h, "shuffle")
     pooled, _, pool_state = attn_pool(h[inv], params, return_state=True)
     logits = pooled @ params["head.weight"] + params["head.bias"]
     hazards = sigmoid(logits)
     survival = survival_from_hazards(hazards)
     out = HazardOutput(hazards=hazards, survival=survival, risk=float(-survival.sum()))
-    if not keep:
+    if not (return_state or want_attention):
         return out
     state = dict(perm=perm, local=local, shuffle=shuffle, pool=pool_state)
     if return_state:
-        state.update(x=x, inv=inv, pooled=pooled, hazards=hazards)
+        state.update(inv=inv, pooled=pooled, hazards=hazards)
     return out, state
 
 
@@ -292,7 +317,7 @@ def loss_and_grads(sub_bags: list[SubWsiBag], label: int, censored: int,
     g = window_attention_backward(g[state["perm"]], state.pop("shuffle"), params, "shuffle")
     g = window_attention_backward(g[state["inv"]], state.pop("local"), params, "local")
     # weight and bias gradients only: nothing reads the reduce layer's input gradient
-    params.add_grad("reduce.weight", state["x"].T @ g)
+    params.add_grad("reduce.weight", _stacked_features(sub_bags, params.flat.dtype).T @ g)
     params.add_grad("reduce.bias", g.sum(axis=0))
     return loss
 

@@ -95,24 +95,45 @@ def gen_irregular_mask(width: int, height: int, hole_density: float, seed: int):
         raise ConfigurationError(f"mask grid must be at least 1x1, got {width}x{height}")
     if not 0.0 <= hole_density < 1.0:
         raise ConfigurationError(f"hole_density must lie in [0, 1), got {hole_density}")
-    # imported here: the other commands do not need scipy at all
-    from scipy import ndimage
-
     rng = np.random.default_rng(seed)
-    structure = np.ones((3, 3), dtype=int)
     for _ in range(MASK_RETRY_LIMIT):
         occupied = rng.random((height, width)) >= hole_density
         if not occupied.any():
             continue
-        labels, _ = ndimage.label(occupied, structure=structure)
-        counts = np.bincount(labels.ravel())
-        counts[0] = 0
-        ys, xs = np.nonzero(labels == counts.argmax())
+        ys, xs = np.nonzero(largest_component(occupied))
         return {(int(x), int(y)) for x, y in zip(xs, ys)}
     raise ConfigurationError(
         f"mask draw degenerate after {MASK_RETRY_LIMIT} attempts "
         f"(hole_density={hole_density})"
     )
+
+
+def largest_component(occupied: np.ndarray) -> np.ndarray:
+    """Mask of the largest 8-connected component of a 2-D boolean grid.
+
+    Each occupied cell ends up labelled with the smallest raster index in
+    its component: every round takes the minimum label over each cell's
+    3x3 neighbourhood and then replaces each label by the label of the
+    cell it names (pointer jumping), until a round changes nothing. A tie
+    in size goes to the component whose first cell comes first in raster
+    order, as with ``scipy.ndimage.label`` and ``argmax`` of its counts.
+    """
+    h, w = occupied.shape
+    n = h * w
+    # flat labels with one extra slot, n, that empty cells point to
+    label = np.append(np.where(occupied.ravel(), np.arange(n), n), n)
+    empty = np.append(~occupied, False)
+    padded = np.full((h + 2, w + 2), n)
+    while True:
+        padded[1:-1, 1:-1] = label[:-1].reshape(h, w)
+        low = np.minimum(np.minimum(padded[:-2], padded[1:-1]), padded[2:])
+        new = np.append(np.minimum(np.minimum(low[:, :-2], low[:, 1:-1]), low[:, 2:]), n)
+        new[empty] = n
+        new = new[new]
+        if np.array_equal(new, label):
+            grid = label[:-1].reshape(h, w)
+            return grid == np.bincount(grid[occupied]).argmax()
+        label = new
 
 
 _NEIGHBORS_8 = tuple(

@@ -295,8 +295,8 @@ class TestTrainEvalAttn:
         assert sorted(calls) == sorted(slides)
 
     def test_commands_after_synth_load_no_scipy(self, cohort, tmp_path):
-        """rearrange, train --epochs 0, eval and attn each run in a process
-        that never imports a scipy module."""
+        """synth, rearrange, train --epochs 0, eval and attn each run in a
+        process that never imports a scipy module."""
         src = str(Path(hvtsurv.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -306,6 +306,7 @@ class TestTrainEvalAttn:
         manifest = str(cohort / "manifest.csv")
         train = tmp_path / "train"
         commands = [
+            synth_args(tmp_path / "synth", n=3),
             ["rearrange", "--manifest", manifest, "--out", str(tmp_path / "re"),
              "--window-size", "8", "--report"],
             ["train", "--manifest", manifest, "--out", str(train), "--folds", "2",

@@ -10,7 +10,7 @@ from hvtsurv.numerics import (
     erf,
     finite_diff_check,
     gelu,
-    gelu_backward,
+    gelu_and_slope,
     layer_norm,
     layer_norm_backward,
     linear,
@@ -118,9 +118,9 @@ class TestElementwise:
                  lambda gr, x, g, b: layer_norm_backward(gr, layer_norm(x, g, b)[1], g))
 
     def test_gelu_gradient(self):
-        # gelu_backward writes into its grad argument, here the probe that check_op reuses
+        # gelu_and_slope overwrites its arguments, here x, the checked parameter
         check_op(lambda: (rand(4, 5),), gelu,
-                 lambda g, x: gelu_backward(g.copy(), x, normal_cdf(x)))
+                 lambda g, x: g * gelu_and_slope(x.copy(), normal_cdf(x))[1])
 
     def test_tanh_gradient(self):
         check_op(lambda: (rand(4, 5),), tanh,
@@ -162,34 +162,53 @@ class TestErfAndSigmoid:
 
     def test_float64_gelu_rounds_as_the_three_term_formula(self):
         x = rng.normal(scale=3.0, size=(400, 60))
-        g = rng.normal(size=x.shape)
         e = special.erf(x / math.sqrt(2.0))
         assert np.array_equal(gelu(x), 0.5 * x * (1.0 + e))
         cdf = 0.5 * (1.0 + e)
-        want = g * (cdf + x * (np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)))
+        slope = cdf + x * (np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
         assert np.array_equal(normal_cdf(x), cdf)
-        assert np.array_equal(gelu_backward(g, x, normal_cdf(x)), want)
+        value, got = gelu_and_slope(x.copy(), normal_cdf(x))
+        assert np.array_equal(value, gelu(x)) and np.array_equal(got, slope)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_gelu_backward_in_place_across_blocks(self, dtype):
+    def test_gelu_and_slope_in_place_across_blocks(self, dtype):
         # 150,000 elements: two whole blocks of _ERF32_BLOCK and a partial one
         x = rng.normal(scale=3.0, size=(1000, 150)).astype(dtype)
-        g = rng.normal(size=x.shape).astype(dtype)
         cdf = normal_cdf(x)
-        want = g * (cdf + x * (np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)))
-        strided = gelu_backward(g.copy().T, x.T, cdf.T)   # not written in place
-        back = gelu_backward(g, x, cdf)
-        assert np.shares_memory(back, g) and np.array_equal(back, want)
-        assert np.array_equal(strided, want.T)
+        want_value = x * cdf
+        want_slope = cdf + x * (np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
+        assert np.array_equal(want_value, gelu(x))
+        value, slope = gelu_and_slope(x, cdf)
+        assert value is x and slope is cdf
+        assert value.dtype == slope.dtype == dtype
+        assert np.array_equal(value, want_value) and np.array_equal(slope, want_slope)
+
+    def test_gelu_and_slope_refuses_strided_arrays(self):
+        # a strided array would be copied by the flat view, and the results lost
+        x = rng.normal(size=(30, 20))
+        with pytest.raises(ValueError):
+            gelu_and_slope(x.T, normal_cdf(x).T)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_normal_cdf_in_place_erf_keeps_0d_and_shapes(self, dtype):
+        x = rng.normal(scale=3.0, size=(70, 30)).astype(dtype)
+        assert np.array_equal(normal_cdf(x), (1.0 + erf(x / math.sqrt(2.0))) * 0.5)
+        assert np.array_equal(normal_cdf(x.T), normal_cdf(x).T)
+        zero = normal_cdf(np.array(0.0, dtype=dtype))
+        assert zero.shape == () and zero.dtype == dtype and zero == 0.5
+        y = (x / math.sqrt(2.0)).copy()
+        want = erf(y)
+        assert erf(y, out=y) is y and np.array_equal(y, want)
 
     def test_float32_gelu_stays_float32_near_float64(self):
         x = rng.normal(scale=3.0, size=(200, 50))
-        g = rng.normal(size=x.shape)
-        x32, g32 = x.astype(np.float32), g.astype(np.float32)
-        back32 = gelu_backward(g32, x32, normal_cdf(x32))
-        assert gelu(x32).dtype == back32.dtype == np.float32
+        x32 = x.astype(np.float32)
+        value32, slope32 = gelu_and_slope(x32.copy(), normal_cdf(x32))
+        assert gelu(x32).dtype == value32.dtype == slope32.dtype == np.float32
+        value, slope = gelu_and_slope(x.copy(), normal_cdf(x))
         assert np.abs(gelu(x32) - gelu(x)).max() < 1e-5
-        assert np.abs(back32 - gelu_backward(g, x, normal_cdf(x))).max() < 1e-5
+        assert np.abs(value32 - value).max() < 1e-5
+        assert np.abs(slope32 - slope).max() < 1e-5
 
 
 class TestFiniteDiffCheck:

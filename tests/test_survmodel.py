@@ -1,5 +1,6 @@
 import csv
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from hvtsurv.survmodel import (
     ADAMW_SLICE,
     CONFIG_DEFAULTS,
     EVAL_MASK_SEED,
+    FORWARD_CHUNK_ROWS,
     AdamW,
     HVTSurvConfig,
     HazardOutput,
@@ -414,6 +416,83 @@ class TestStackedPass:
         for name in stacked.names():
             want = looped.grad(name)
             assert np.abs(stacked.grad(name) - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+CHUNK_CFG = HVTSurvConfig(input_dim=24, model_dim=32, window_size=16, n_heads=4,
+                          n_sub_wsis=2, n_intervals=4, pool_hidden=8, ffn_ratio=8)
+
+
+def grid_sub_bags(lengths, cfg, seed=0):
+    """Sub-bags of the given row counts, each on a random grid layout."""
+    r = np.random.default_rng(seed)
+    subs = []
+    for j, n in enumerate(lengths):
+        side = int(np.ceil(np.sqrt(n)))
+        cells = r.permutation(side * side)[:n]
+        subs.append(SubWsiBag(source_wsi=f"W{j}", features=r.normal(size=(n, cfg.input_dim)),
+                              scaled_coords=np.stack([cells % side, cells // side], axis=1),
+                              source_rows=np.arange(n), window_ids=np.arange(n // cfg.window_size),
+                              window_size=cfg.window_size))
+    return subs
+
+
+class TestChunkedForward:
+    """Without state, forward runs each attention layer on chunks of whole
+    windows; the whole-pass state of the training forward is the reference."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_chunked_pass_equals_whole_pass_bit_for_bit(self, dtype):
+        w = CHUNK_CFG.window_size
+        step = FORWARD_CHUNK_ROWS // w * w
+        lengths = (1600, 1440)
+        n = sum(lengths)
+        # three chunks, the last partial, and a chunk edge inside each sub-bag
+        assert n > 2 * step and n % step and step < lengths[0] < 2 * step < n
+        subs = grid_sub_bags(lengths, CHUNK_CFG)
+        params = init_params(CHUNK_CFG, seed=3, scale=0.25)
+        if dtype == np.float32:
+            params = ParamStore({k: params[k].astype(np.float32) for k in params.names()})
+        whole, state = forward(subs, params, CHUNK_CFG, return_state=True)
+        chunked = forward(subs, params, CHUNK_CFG)
+        assert whole.hazards.dtype == dtype
+        assert np.array_equal(chunked.hazards, whole.hazards) and chunked.risk == whole.risk
+        out, attention = forward(subs, params, CHUNK_CFG, want_attention=True)
+        assert np.array_equal(out.hazards, whole.hazards)
+        for layer in ("local", "shuffle"):
+            assert np.array_equal(attention[layer]["attn"], state[layer]["attn"])
+        assert np.array_equal(attention["pool"]["weights"], state["pool"]["weights"])
+
+    def test_forward_only_peak_below_one_mlp_array(self):
+        subs = grid_sub_bags((4096, 4096), CHUNK_CFG)
+        params = init_params(CHUNK_CFG, seed=3)
+        forward(subs, params, CHUNK_CFG)   # first-use imports stay out of the trace
+        tracemalloc.start()
+        try:
+            forward(subs, params, CHUNK_CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = sum(len(sub.features) for sub in subs)
+        assert peak < n * CHUNK_CFG.ffn_ratio * CHUNK_CFG.model_dim * 8
+
+    def test_training_state_keeps_only_what_the_backward_cannot_recompute(self):
+        subs = grid_sub_bags((160, 96), CHUNK_CFG)
+        n = sum(len(sub.features) for sub in subs)
+        _, state = forward(subs, init_params(CHUNK_CFG, seed=3), CHUNK_CFG, return_state=True)
+        assert set(state) == {"perm", "local", "shuffle", "pool", "inv", "pooled", "hazards"}
+        for layer in ("local", "shuffle"):
+            # no u, u2 or ctx: the backward recomputes them bit for bit
+            assert set(state[layer]) == {"ln1_state", "qh", "kh", "vh", "attn", "ln2_state",
+                                         "h1", "scale", "idx"}
+        stack = [state]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, dict):
+                stack.extend(item.values())
+            elif isinstance(item, tuple):
+                stack.extend(item)
+            elif isinstance(item, np.ndarray):
+                assert item.shape != (n, CHUNK_CFG.input_dim)
 
 
 class TestExportAttention:

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from hvtsurv.errors import ConfigurationError
-from hvtsurv.synthgen import SynthConfig, gen_cohort, gen_irregular_mask
+from hvtsurv.synthgen import SynthConfig, gen_cohort, gen_irregular_mask, largest_component
 
 
 class TestIrregularMask:
@@ -27,6 +27,39 @@ class TestIrregularMask:
     def test_degenerate_density_errors(self):
         with pytest.raises(ConfigurationError):
             gen_irregular_mask(1, 1, 0.999, 0)
+
+    def test_largest_component_matches_ndimage_label(self):
+        from scipy import ndimage
+
+        rng = np.random.default_rng(17)
+        ties = 0
+        for trial in range(300):
+            h, w = rng.integers(1, 121 if trial % 5 == 0 else 25, size=2)
+            occupied = rng.random((h, w)) >= rng.uniform(0.05, 0.7)
+            if not occupied.any():
+                continue
+            labels, _ = ndimage.label(occupied, structure=np.ones((3, 3), dtype=int))
+            counts = np.bincount(labels.ravel())
+            counts[0] = 0
+            ties += np.count_nonzero(counts == counts.max()) > 1
+            assert np.array_equal(largest_component(occupied), labels == counts.argmax())
+        assert ties > 0   # equal-sized largest components, broken by raster order
+
+    def test_largest_component_ties_go_to_the_first_in_raster_order(self):
+        occupied = np.array([[0, 0, 1, 1],
+                             [1, 0, 0, 0],
+                             [1, 0, 0, 1],
+                             [0, 0, 0, 1]], dtype=bool)
+        want = np.zeros_like(occupied)
+        want[0, 2:] = True
+        assert np.array_equal(largest_component(occupied), want)
+        # a diagonal step joins cells; a spiral takes many label rounds
+        spiral = np.zeros((9, 9), dtype=bool)
+        spiral[0, :], spiral[:, 8], spiral[8, :], spiral[2:, 0] = True, True, True, True
+        spiral[2, :7], spiral[2:7, 6], spiral[6, 2:7], spiral[4:7, 2] = True, True, True, True
+        spiral[4, 4] = spiral[5, 3] = True
+        got = largest_component(spiral)
+        assert got[4, 4] and got[5, 3] and np.array_equal(got, spiral)
 
     def test_bad_args(self):
         with pytest.raises(ConfigurationError):

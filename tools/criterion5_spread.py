@@ -4,10 +4,12 @@
 
 Runs ``tests/test_acceptance.py::test_criterion_5_end_to_end_planted_signal``
 unchanged, once per perturbation seed PSEED (default 1-7). For each run,
-every parameter buffer that ``fit`` draws through ``init_params(cfg,
-seed)`` is multiplied by ``1 + 1e-12 * N(0, 1)``, with the noise drawn
-from ``np.random.default_rng([PSEED, seed])``; PSEED 0 leaves the buffer
-as drawn, which is the pinned test. Each run prints its mean held-out
+every tensor that ``fit`` draws through ``init_params(cfg, seed)`` is
+multiplied by ``1 + 1e-12 * N(0, 1)``, with the noise drawn from
+``np.random.default_rng([PSEED, seed, crc32(name)])``: keyed by the
+tensor's name, so a change in another tensor's size or in the buffer
+layout leaves it as it was. PSEED 0 leaves the tensors as drawn, which
+is the pinned test. Each run prints its mean held-out
 C-index, the per-fold C-index and the per-fold best epoch; the last
 lines give the minimum, median and maximum mean C-index and the range
 of each fold's best epoch.
@@ -28,6 +30,7 @@ import multiprocessing
 import os
 import re
 import sys
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -56,8 +59,10 @@ def run_once(module, pseed: int) -> dict:
     def perturbed_init_params(cfg, seed, scale=0.02):
         params = init_params(cfg, seed, scale)
         if pseed:
-            noise = np.random.default_rng([pseed, seed]).normal(size=params.flat.shape)
-            params.flat *= 1.0 + 1e-12 * noise
+            for name in params.names():
+                key = zlib.crc32(name.encode("utf-8"))
+                noise = np.random.default_rng([pseed, seed, key]).normal(size=params[name].shape)
+                params[name][...] *= 1.0 + 1e-12 * noise
         return params
 
     def recording_fit(*args, **kwargs):
