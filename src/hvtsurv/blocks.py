@@ -110,10 +110,13 @@ def bias_table_grad(g_scores: np.ndarray, idx: np.ndarray, n_rows: int) -> np.nd
     """Scatter (nW, h, w, w) score gradients onto the (n_rows, h) bias table.
 
     ``idx`` holds the (nW, w, w) table row each score read its bias from.
+    np.bincount sums in float64; the result is rounded once to the dtype
+    of ``g_scores``.
     """
     flat = idx.reshape(-1)
-    return np.stack([np.bincount(flat, weights=g_scores[:, k].reshape(-1), minlength=n_rows)
-                     for k in range(g_scores.shape[1])], axis=1)
+    sums = [np.bincount(flat, weights=g_scores[:, k].reshape(-1), minlength=n_rows)
+            for k in range(g_scores.shape[1])]
+    return np.stack(sums, axis=1).astype(g_scores.dtype, copy=False)
 
 
 def block_layout(d: int, ffn_ratio: int) -> dict[str, tuple[tuple[int, ...], str]]:

@@ -3,16 +3,17 @@
 Matrices are plain row-major numpy arrays. Each forward operation has a
 matching ``*_backward`` that maps the upstream gradient to gradients of
 its inputs; nothing here builds a graph. Every operation computes in the
-dtype of its inputs. Training and gradient checks run in float64, where
-every backward matches central finite differences to better than 1e-4
-relative error; parameters loaded from a checkpoint are float32, and the
-forward pass on them computes in float32 throughout.
+dtype of its inputs. Gradient checks run in float64, where every
+backward matches central finite differences to better than 1e-4 relative
+error. Training, and the forward pass on checkpoint parameters, run in
+float32 throughout.
 
 ``erf`` and ``sigmoid`` compute float32 input with numpy: erf as a
 clamped odd rational function, within 4.5e-7 of the exact value, and
 sigmoid from exp(-|x|). Other input goes to ``scipy.special.erf`` and
-``expit``, imported on first use, so float64 training rounds exactly as
-scipy does and a float32 forward loads no scipy module.
+``expit``, imported on first use, so float64 gradient checks round
+exactly as scipy does, and training and a float32 forward load no scipy
+module.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ _ERF32_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
 # elements per block of the float32 erf and of gelu_and_slope: 256 KiB per float32 temporary
 _ERF32_BLOCK = 1 << 16
 
-# 2-D float ndarray in this module's contracts: float64 for training and
-# gradient checks, float32 for a forward pass on checkpoint parameters.
+# 2-D float ndarray in this module's contracts: float64 for gradient checks,
+# float32 for training and for a forward pass on checkpoint parameters.
 DenseMatrix = np.ndarray
 
 
@@ -51,8 +52,9 @@ class ParamStore:
     laid out by name in sorted order, so optimizers that update ``flat`` in
     place keep every view valid. Both buffers take the floating dtype the
     arrays promote to: float64 for freshly drawn tensors, float32 for the
-    tensors of a checkpoint. Gradient accumulation is single-writer;
-    do not share one store across concurrent backwards.
+    tensors ``fit`` trains and those of a checkpoint. Gradient
+    accumulation is single-writer; do not share one store across
+    concurrent backwards.
     """
 
     def __init__(self, arrays: dict):

@@ -214,7 +214,8 @@ def _stacked_features(sub_bags: list[SubWsiBag], dtype) -> np.ndarray:
 def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
             want_attention: bool = False, return_state: bool = False):
     """Run a preprocessed patient through the model, in the dtype of
-    ``params`` (float32 for a loaded checkpoint, float64 otherwise).
+    ``params``: float32 for fit's store and a loaded checkpoint, float64
+    for init_params' store, which the gradient checks use.
 
     The sub-bags' rows are stacked in order into one (N, d) block, and
     each layer runs on it: windows are whole within a sub-bag, and the
@@ -294,7 +295,7 @@ def nll_loss(out: HazardOutput, label: int, censored: int) -> float:
 def _nll_grad_logits(hazards: np.ndarray, label: int, censored: int) -> np.ndarray:
     """d(loss)/d(logits) for sigmoid hazards; clamped terms contribute 0."""
     n = hazards.shape[0]
-    grad = np.zeros(n)
+    grad = np.zeros(n, hazards.dtype)   # a float64 gradient would widen a float32 backward
     upto = label if censored else label - 1
     for s in range(0, upto + 1):
         if 1.0 - hazards[s] > LOG_FLOOR:
@@ -366,10 +367,13 @@ def fit(records: list[PatientRecord], train_idx, val_idx, cfg: HVTSurvConfig,
         seed: int, cache: dict | None = None) -> FitResult:
     """Train with AdamW (batch size 1) and early stopping on validation loss.
 
-    Window masking is resampled every epoch for training patients and
-    pinned to the evaluation seed for validation. Deterministic for a
-    fixed seed and cohort. ``cache`` is preprocess_patient's rearranged-bag
-    cache; folds of one run can share it.
+    Training runs in float32, the precision a checkpoint stores: fit draws
+    float64 tensors with init_params and trains a float32 copy of them, so
+    FitResult.params is a float32 store. Window masking is resampled every
+    epoch for training patients and pinned to the evaluation seed for
+    validation. Deterministic for a fixed seed and cohort at a fixed BLAS
+    thread count. ``cache`` is preprocess_patient's rearranged-bag cache;
+    folds of one run can share it.
     """
     train_idx = list(train_idx)
     val_idx = list(val_idx)
@@ -379,7 +383,9 @@ def fit(records: list[PatientRecord], train_idx, val_idx, cfg: HVTSurvConfig,
         if records[i].interval_label is None:
             raise ValidationError(f"record {records[i].patient_id} has no interval label")
 
-    params = init_params(cfg, derive_seed(seed, "fit-init"))
+    drawn = init_params(cfg, derive_seed(seed, "fit-init"))
+    params = ParamStore({name: drawn[name].astype(np.float32) for name in drawn.names()})
+    del drawn
     optimizer = AdamW(params, cfg.learning_rate, cfg.weight_decay)
     if cache is None:
         cache = {}

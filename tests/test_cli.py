@@ -295,8 +295,8 @@ class TestTrainEvalAttn:
         assert sorted(calls) == sorted(slides)
 
     def test_commands_after_synth_load_no_scipy(self, cohort, tmp_path):
-        """synth, rearrange, train --epochs 0, eval and attn each run in a
-        process that never imports a scipy module."""
+        """synth, rearrange, train (one epoch of float32 training), eval and
+        attn each run in a process that never imports a scipy module."""
         src = str(Path(hvtsurv.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -310,7 +310,7 @@ class TestTrainEvalAttn:
             ["rearrange", "--manifest", manifest, "--out", str(tmp_path / "re"),
              "--window-size", "8", "--report"],
             ["train", "--manifest", manifest, "--out", str(train), "--folds", "2",
-             "--epochs", "0", "--seed", "0", *FAST_FLAGS],
+             "--epochs", "1", "--seed", "0", *FAST_FLAGS],
             ["eval", "--manifest", manifest, "--checkpoints", str(train),
              "--out", str(tmp_path / "eval"), "--seed", "0"],
             ["attn", "--manifest", manifest, "--checkpoint", str(train / "fold0.ckpt"),

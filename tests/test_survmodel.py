@@ -211,6 +211,45 @@ class TestFullModelGradient:
         for name in layout:
             assert np.all(np.isfinite(params.grad(name))), name
 
+    def test_float32_store_keeps_every_gradient_float32(self, monkeypatch):
+        # a float64 gradient anywhere would widen the rest of the backward and
+        # round into the float32 store at add_grad
+        from hvtsurv import survmodel
+        seen = []
+
+        def recording(kernel):
+            def wrapped(grad, *args, **kwargs):
+                out = kernel(grad, *args, **kwargs)
+                seen.append((kernel.__name__, grad.dtype, out.dtype))
+                return out
+            return wrapped
+
+        added = {}
+        add = ParamStore.add_grad
+
+        def recording_add(store, name, g):
+            added[name] = np.asarray(g).dtype
+            add(store, name, g)
+
+        for name in ("window_attention_backward", "attn_pool_backward"):
+            monkeypatch.setattr(survmodel, name, recording(getattr(survmodel, name)))
+        monkeypatch.setattr(ParamStore, "add_grad", recording_add)
+        drawn = init_params(MICRO_CFG, seed=4)
+        params = ParamStore({k: drawn[k].astype(np.float32) for k in drawn.names()})
+        patient = make_patient("PA", n_patches=14, n_wsis=2)
+        subs = preprocess_patient(patient, MICRO_CFG, mask_seed=5)
+        for label, censored in ((1, 0), (2, 1)):
+            loss_and_grads(subs, label, censored, params, MICRO_CFG)
+        monkeypatch.undo()
+        assert [name for name, _, _ in seen] == ["attn_pool_backward",
+                                                 "window_attention_backward",
+                                                 "window_attention_backward"] * 2
+        for name, incoming, returned in seen:
+            assert (incoming, returned) == (np.float32, np.float32), name
+        assert added.keys() == param_layout(MICRO_CFG).keys()
+        for name, dtype in added.items():
+            assert dtype == np.float32, name
+
 
 class TestFit:
     def small_cohort(self, n=12):
@@ -229,9 +268,10 @@ class TestFit:
         )
         result = fit(cohort, train_idx=range(8), val_idx=range(8, 12), cfg=cfg, seed=11)
         fresh = init_params(cfg, derive_seed(11, "fit-init"))
+        assert result.params.flat.dtype == np.float32   # fit trains a float32 copy of the draw
         assert result.params.names() == fresh.names()
         for name in fresh.names():
-            assert np.array_equal(result.params[name], fresh[name])
+            assert np.array_equal(result.params[name], fresh[name].astype(np.float32))
 
     def test_determinism(self):
         cohort = self.small_cohort()
@@ -805,8 +845,10 @@ class TestCheckpoint:
             for pred in predict_risks(records, split.test, result.params, cfg):
                 in_memory[(fold, pred.patient_id)] = pred.risk
         assert evaluated.keys() == in_memory.keys()
+        # fit trains the float32 store the checkpoint holds, so eval scores the
+        # trained model itself, up to risks.csv's 8 decimals
         for key, risk in in_memory.items():
-            assert abs(evaluated[key] - risk) <= 1e-4, key
+            assert evaluated[key] == float(f"{risk:.8f}"), key
 
     @pytest.mark.parametrize("key", list(CONFIG_DEFAULTS))
     def test_any_missing_key_raises_format_error(self, tmp_path, key):

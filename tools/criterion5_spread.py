@@ -5,7 +5,10 @@
 Runs ``tests/test_acceptance.py::test_criterion_5_end_to_end_planted_signal``
 unchanged, once per perturbation seed PSEED (default 1-7). For each run,
 every tensor that ``fit`` draws through ``init_params(cfg, seed)`` is
-multiplied by ``1 + 1e-12 * N(0, 1)``, with the noise drawn from
+multiplied by ``1 + eps * N(0, 1)``, where eps is float32's machine
+epsilon: ``fit`` trains a float32 copy of the drawn tensors, and a
+smaller relative change would vanish in that cast for almost every
+element. The noise is drawn from
 ``np.random.default_rng([PSEED, seed, crc32(name)])``: keyed by the
 tensor's name, so a change in another tensor's size or in the buffer
 layout leaves it as it was. PSEED 0 leaves the tensors as drawn, which
@@ -14,8 +17,8 @@ C-index, the per-fold C-index and the per-fold best epoch; the last
 lines give the minimum, median and maximum mean C-index and the range
 of each fold's best epoch.
 
-The script measures how far criterion 5 moves when training rounds
-differently in the last bit; it gates nothing. The runs go in
+The script measures how far criterion 5 moves when training starts a
+float32 last bit away; it gates nothing. The runs go in
 ``os.cpu_count()`` worker processes, and their lines print in PSEED
 order. BLAS runs on one thread per process unless OPENBLAS_NUM_THREADS
 says otherwise: threaded BLAS rounds some training products
@@ -42,6 +45,7 @@ from hvtsurv import survmodel
 
 TEST_FILE = Path(__file__).resolve().parents[1] / "tests" / "test_acceptance.py"
 PROTOCOL = "test_criterion_5_end_to_end_planted_signal"
+NOISE = float(np.finfo(np.float32).eps)
 
 
 def load_acceptance_module():
@@ -62,7 +66,7 @@ def run_once(module, pseed: int) -> dict:
             for name in params.names():
                 key = zlib.crc32(name.encode("utf-8"))
                 noise = np.random.default_rng([pseed, seed, key]).normal(size=params[name].shape)
-                params[name][...] *= 1.0 + 1e-12 * noise
+                params[name][...] *= 1.0 + NOISE * noise
         return params
 
     def recording_fit(*args, **kwargs):
