@@ -125,18 +125,21 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def build_run_config(file_values: dict, overrides: dict) -> RunConfig:
-    """Merge defaults < config file < flags, rejecting unknown keys."""
+    """Merge defaults < config file < flags, rejecting unknown keys and bad values."""
     rc = RunConfig()
     for source in (file_values, overrides):
         for key, value in source.items():
             if value is None:
                 continue
-            if key in _MODEL_DEFAULTS:
-                rc.model[key] = type(_MODEL_DEFAULTS[key])(value)
-            elif key in _RUN_DEFAULTS:
-                setattr(rc, key, type(_RUN_DEFAULTS[key])(value))
-            else:
-                raise ConfigurationError(f"unknown configuration key {key!r}")
+            try:
+                if key in _MODEL_DEFAULTS:
+                    rc.model[key] = type(_MODEL_DEFAULTS[key])(value)
+                elif key in _RUN_DEFAULTS:
+                    setattr(rc, key, type(_RUN_DEFAULTS[key])(value))
+                else:
+                    raise ConfigurationError(f"unknown configuration key {key!r}")
+            except ValueError as exc:
+                raise ConfigurationError(f"configuration key {key!r}: {exc}") from exc
     return rc
 
 

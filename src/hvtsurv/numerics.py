@@ -123,10 +123,9 @@ def layer_norm(x: DenseMatrix, gamma: np.ndarray, beta: np.ndarray):
 
     Returns (out, cache) where the cache feeds layer_norm_backward.
     """
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x - mean) * inv_std
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    xhat *= inv_std
     return xhat * gamma + beta, (xhat, inv_std)
 
 

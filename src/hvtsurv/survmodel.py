@@ -37,7 +37,7 @@ from .blocks import (
 )
 from .errors import FormatError, NumericError, UndefinedStatisticError, ValidationError
 from .numerics import ParamStore, linear, sigmoid
-from .rearrange import RearrangedBag, SubWsiBag, knn_rearrange, random_window_mask
+from .rearrange import SubWsiBag, knn_rearrange, random_window_mask
 from .seeding import derive_seed, rng_for
 
 log = logging.getLogger(__name__)
@@ -179,15 +179,13 @@ def preprocess_patient(record: PatientRecord, cfg: HVTSurvConfig, mask_seed: int
     with fewer windows than n_sub_wsis is split into as many sub-bags as
     it has windows.
     """
+    if rearranged_cache is None:
+        rearranged_cache = {}
     subs: list[SubWsiBag] = []
     for bag in record.bags:
-        reb: RearrangedBag | None = None
-        if rearranged_cache is not None:
-            reb = rearranged_cache.get(bag.wsi_id)
+        reb = rearranged_cache.get(bag.wsi_id)
         if reb is None:
-            reb = knn_rearrange(bag, cfg.window_size)
-            if rearranged_cache is not None:
-                rearranged_cache[bag.wsi_id] = reb
+            reb = rearranged_cache[bag.wsi_id] = knn_rearrange(bag, cfg.window_size)
         m = min(cfg.n_sub_wsis, reb.n_windows)
         subs.extend(random_window_mask(reb, m, derive_seed(mask_seed, f"wsi:{bag.wsi_id}")))
     return subs
@@ -201,8 +199,8 @@ def survival_from_hazards(hazards: np.ndarray) -> np.ndarray:
     return np.cumprod(1.0 - h)
 
 
-# Rows per chunk of a forward pass without state, rounded down to whole
-# windows: the chunk's (rows, ffn_ratio*d) temporaries stay small at slide scale.
+# Rows per chunk of each attention layer's forward and backward, rounded down
+# to whole windows: the chunk's (rows, ffn_ratio*d) temporaries stay small.
 FORWARD_CHUNK_ROWS = 1024
 
 
@@ -219,17 +217,17 @@ def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
 
     The sub-bags' rows are stacked in order into one (N, d) block, and
     each layer runs on it: windows are whole within a sub-bag, and the
-    shuffle permutes rows only within their own sub-bag. Without
-    ``return_state`` each attention layer runs on consecutive chunks of
-    whole windows, about FORWARD_CHUNK_ROWS rows each, which gives the
-    same output bit for bit: windows are independent, and a row split of
-    a product leaves its elements unchanged on the BLAS kernels tested.
+    shuffle permutes rows only within their own sub-bag. Each attention
+    layer runs on consecutive chunks of whole windows, about
+    FORWARD_CHUNK_ROWS rows each, which gives the output of one pass over
+    all rows bit for bit: windows are independent, and a row split of a
+    product leaves its elements unchanged on the BLAS kernels tested.
 
     Returns a HazardOutput, or (HazardOutput, state) when either flag is
-    set. ``state`` holds the stacked shuffle ``perm``, the ``local`` and
-    ``shuffle`` layer states and ``pool``, attn_pool's state. With
-    ``return_state`` it holds everything the backward pass needs; with
-    ``want_attention`` alone each layer state is only its ``"attn"``.
+    set. ``state`` holds the stacked shuffle ``perm``, ``pool``, attn_pool's
+    state, and as ``local`` and ``shuffle`` one entry per chunk: its
+    ``attn`` with ``want_attention`` alone, and with ``return_state`` its
+    whole window_attention state, kept with what the backward pass needs.
     """
     if not sub_bags:
         raise ValidationError("patient has no sub-WSI bags")
@@ -238,22 +236,20 @@ def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
     if any(n % w for n in lengths):
         raise ValidationError("sub-WSI row count is not a multiple of the window size")
     step = max(1, FORWARD_CHUNK_ROWS // w) * w
+    chunks = [slice(start, start + step) for start in range(0, sum(lengths), step)]
 
     def layer(h, prefix, idx=None):
-        """One attention block on the stacked rows, and the state to keep of it."""
-        if return_state:
-            return window_attention(h, params, prefix, heads, w, idx, return_state=True)
-        out, attn = np.empty_like(h), []
-        for start in range(0, len(h), step):
-            rows = slice(start, start + step)
-            chunk_idx = None if idx is None else idx[start // w : (start + step) // w]
-            if want_attention:
+        """One attention block on the stacked rows by chunks, and what to keep of each."""
+        out, kept = np.empty_like(h), []
+        for rows in chunks:
+            chunk_idx = None if idx is None else idx[rows.start // w : rows.stop // w]
+            if return_state or want_attention:
                 out[rows], chunk_state = window_attention(h[rows], params, prefix, heads, w,
                                                           chunk_idx, return_state=True)
-                attn.append(chunk_state["attn"])
+                kept.append(chunk_state if return_state else chunk_state["attn"])
             else:
                 out[rows] = window_attention(h[rows], params, prefix, heads, w, chunk_idx)
-        return out, dict(attn=np.concatenate(attn)) if want_attention else None
+        return out, kept
 
     x = _stacked_features(sub_bags, params.flat.dtype)
     h = linear(x, params["reduce.weight"], params["reduce.bias"])
@@ -273,7 +269,7 @@ def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
         return out
     state = dict(perm=perm, local=local, shuffle=shuffle, pool=pool_state)
     if return_state:
-        state.update(inv=inv, pooled=pooled, hazards=hazards)
+        state.update(chunks=chunks, inv=inv, pooled=pooled)
     return out, state
 
 
@@ -294,8 +290,7 @@ def nll_loss(out: HazardOutput, label: int, censored: int) -> float:
 
 def _nll_grad_logits(hazards: np.ndarray, label: int, censored: int) -> np.ndarray:
     """d(loss)/d(logits) for sigmoid hazards; clamped terms contribute 0."""
-    n = hazards.shape[0]
-    grad = np.zeros(n, hazards.dtype)   # a float64 gradient would widen a float32 backward
+    grad = np.zeros_like(hazards)   # a float64 gradient would widen a float32 backward
     upto = label if censored else label - 1
     for s in range(0, upto + 1):
         if 1.0 - hazards[s] > LOG_FLOOR:
@@ -307,16 +302,19 @@ def _nll_grad_logits(hazards: np.ndarray, label: int, censored: int) -> np.ndarr
 
 def loss_and_grads(sub_bags: list[SubWsiBag], label: int, censored: int,
                    params: ParamStore, cfg: HVTSurvConfig) -> float:
-    """Forward plus hand-chained backward; accumulates into params' grads."""
+    """Forward plus hand-chained backward, each attention layer one forward chunk at
+    a time, spending its state; accumulates into params' grads."""
     out, state = forward(sub_bags, params, cfg, return_state=True)
     loss = nll_loss(out, label, censored)
-    d_logits = _nll_grad_logits(state["hazards"], label, censored)
+    d_logits = _nll_grad_logits(out.hazards, label, censored)
 
     params.add_grad("head.weight", np.outer(state["pooled"], d_logits))
     params.add_grad("head.bias", d_logits)
     g = attn_pool_backward(params["head.weight"] @ d_logits, state.pop("pool"), params)
-    g = window_attention_backward(g[state["perm"]], state.pop("shuffle"), params, "shuffle")
-    g = window_attention_backward(g[state["inv"]], state.pop("local"), params, "local")
+    for prefix, order in (("shuffle", state["perm"]), ("local", state["inv"])):
+        g = g[order]
+        for rows, chunk_state in zip(state["chunks"], state.pop(prefix)):
+            g[rows] = window_attention_backward(g[rows], chunk_state, params, prefix)
     # weight and bias gradients only: nothing reads the reduce layer's input gradient
     params.add_grad("reduce.weight", _stacked_features(sub_bags, params.flat.dtype).T @ g)
     params.add_grad("reduce.bias", g.sum(axis=0))
@@ -483,7 +481,7 @@ def export_attention(sub_bags: list[SubWsiBag], state: dict,
         return (scores - scores.min()) / span
 
     def window_scores(layer: str) -> np.ndarray:
-        return state[layer]["attn"].mean(axis=1).mean(axis=1).ravel()
+        return np.concatenate([attn.mean(axis=1).mean(axis=1).ravel() for attn in state[layer]])
 
     tags = [(sub.source_wsi, row, gx, gy) for sub in sub_bags
             for row, (gx, gy) in zip(sub.source_rows.tolist(), sub.scaled_coords.tolist())]

@@ -75,6 +75,18 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             cli.parse_config_file(path)
 
+    @pytest.mark.parametrize("key, value", [("folds", "abc"), ("window_size", "4.5")])
+    def test_unreadable_value_names_key_and_value(self, tmp_path, key, value, caplog):
+        # one run-level key and one model key
+        with pytest.raises(ConfigurationError, match=f"{key}.*{value}"):
+            cli.build_run_config({key: value}, {})
+        path = tmp_path / "c.ini"
+        path.write_text(f"{key} = {value}\n")
+        with caplog.at_level("ERROR", logger="hvtsurv"):
+            assert cli.main(synth_args(tmp_path / "out", n=4, extra=["--config", str(path)])) == 1
+        assert key in caplog.text and value in caplog.text
+        assert not (tmp_path / "out").exists()
+
 
 class TestSynth:
     def test_manifest_groups_by_patient(self, cohort):

@@ -6,6 +6,7 @@ from scipy import special
 
 from hvtsurv.errors import ShapeError, ValidationError
 from hvtsurv.numerics import (
+    LAYER_NORM_EPS,
     ParamStore,
     erf,
     finite_diff_check,
@@ -111,6 +112,23 @@ class TestElementwise:
         assert sigmoid(np.array(0.0)) == 0.5
         assert tanh(np.array(0.0)) == 0.0
         assert gelu(np.array(0.0)) == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm_bit_equals_three_pass_formula(self, dtype):
+        # the oracle: mean, numpy's var, and centring again for xhat
+        def three_pass(x, gamma, beta):
+            mean = x.mean(axis=-1, keepdims=True)
+            inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+            xhat = (x - mean) * inv_std
+            return xhat * gamma + beta, (xhat, inv_std)
+
+        r = np.random.default_rng(4)
+        for shape in ((1, 3), (5, 7), (33, 64), (8000, 512), (2, 3, 16)):
+            x = (r.normal(size=shape) * 3 + 1.5).astype(dtype)
+            gamma, beta = (r.normal(size=shape[-1]).astype(dtype) for _ in range(2))
+            got, want = layer_norm(x, gamma, beta), three_pass(x, gamma, beta)
+            for a, b in ((got[0], want[0]), *zip(got[1], want[1])):
+                assert a.dtype == dtype and np.array_equal(a, b), shape
 
     def test_layer_norm_gradient(self):
         check_op(lambda: (rand(4, 6), rand(6), rand(6)),

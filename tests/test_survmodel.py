@@ -18,6 +18,7 @@ from hvtsurv.blocks import (
     BucketParams,
     attn_pool,
     attn_pool_backward,
+    block_shuffle,
     inverse_permutation,
     manhattan_bucket_index,
     spatial_shuffle,
@@ -367,7 +368,7 @@ def hand_built_attention(pool_weights, w=2, heads=2):
                     scaled_coords=np.ones((n, 2), dtype=np.int64), source_rows=np.arange(n),
                     window_ids=np.arange(n // w), window_size=w)
     attn = np.full((n // w, heads, w, w), 1.0 / w)
-    state = dict(perm=spatial_shuffle(n, w), local=dict(attn=attn), shuffle=dict(attn=attn),
+    state = dict(perm=spatial_shuffle(n, w), local=[attn], shuffle=[attn],
                  pool=dict(weights=pool_weights))
     return [sub], state
 
@@ -476,31 +477,108 @@ def grid_sub_bags(lengths, cfg, seed=0):
     return subs
 
 
+def whole_pass_forward(subs, params, cfg):
+    """forward with each attention layer run once over all stacked rows;
+    returns the hazards and the state a backward over all rows needs."""
+    w, heads = cfg.window_size, cfg.n_heads
+    x = np.concatenate([sub.features for sub in subs], dtype=params.flat.dtype)
+    coords = np.concatenate([sub.scaled_coords for sub in subs]).reshape(-1, w, 2)
+    h, local = window_attention(linear(x, params["reduce.weight"], params["reduce.bias"]),
+                                params, "local", heads, w,
+                                manhattan_bucket_index(coords, cfg.bucket), return_state=True)
+    perm = block_shuffle([len(sub.features) for sub in subs], w)
+    inv = inverse_permutation(perm)
+    h, shuffle = window_attention(h[perm], params, "shuffle", heads, w, return_state=True)
+    pooled, _, pool = attn_pool(h[inv], params, return_state=True)
+    hazards = sigmoid(pooled @ params["head.weight"] + params["head.bias"])
+    return hazards, dict(x=x, perm=perm, inv=inv, local=local, shuffle=shuffle, pool=pool,
+                         pooled=pooled)
+
+
+def whole_pass_loss_and_grads(subs, label, censored, params, cfg):
+    """loss_and_grads with each attention layer's backward run once over all rows."""
+    hazards, state = whole_pass_forward(subs, params, cfg)
+    survival = survival_from_hazards(hazards)
+    loss = nll_loss(HazardOutput(hazards, survival, float(-survival.sum())), label, censored)
+    d_logits = _nll_grad_logits(hazards, label, censored)
+    params.add_grad("head.weight", np.outer(state["pooled"], d_logits))
+    params.add_grad("head.bias", d_logits)
+    g = attn_pool_backward(params["head.weight"] @ d_logits, state["pool"], params)
+    g = window_attention_backward(g[state["perm"]], state["shuffle"], params, "shuffle")
+    g = window_attention_backward(g[state["inv"]], state["local"], params, "local")
+    params.add_grad("reduce.weight", state["x"].T @ g)
+    params.add_grad("reduce.bias", g.sum(axis=0))
+    return loss
+
+
+# Three chunks at CHUNK_CFG, the last partial, with a chunk edge inside each sub-bag.
+MULTI_CHUNK = (1600, 1440)
+
+
+def as_float32(params):
+    return ParamStore({k: params[k].astype(np.float32) for k in params.names()})
+
+
 class TestChunkedForward:
-    """Without state, forward runs each attention layer on chunks of whole
-    windows; the whole-pass state of the training forward is the reference."""
+    """Every attention layer runs on chunks of whole windows, forward and
+    backward, in each mode of forward; one pass over all rows is the reference."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_chunked_pass_equals_whole_pass_bit_for_bit(self, dtype):
-        w = CHUNK_CFG.window_size
-        step = FORWARD_CHUNK_ROWS // w * w
-        lengths = (1600, 1440)
-        n = sum(lengths)
-        # three chunks, the last partial, and a chunk edge inside each sub-bag
-        assert n > 2 * step and n % step and step < lengths[0] < 2 * step < n
-        subs = grid_sub_bags(lengths, CHUNK_CFG)
+        step = FORWARD_CHUNK_ROWS // CHUNK_CFG.window_size * CHUNK_CFG.window_size
+        n = sum(MULTI_CHUNK)
+        assert n > 2 * step and n % step and step < MULTI_CHUNK[0] < 2 * step < n
+        subs = grid_sub_bags(MULTI_CHUNK, CHUNK_CFG)
         params = init_params(CHUNK_CFG, seed=3, scale=0.25)
         if dtype == np.float32:
-            params = ParamStore({k: params[k].astype(np.float32) for k in params.names()})
-        whole, state = forward(subs, params, CHUNK_CFG, return_state=True)
-        chunked = forward(subs, params, CHUNK_CFG)
-        assert whole.hazards.dtype == dtype
-        assert np.array_equal(chunked.hazards, whole.hazards) and chunked.risk == whole.risk
-        out, attention = forward(subs, params, CHUNK_CFG, want_attention=True)
-        assert np.array_equal(out.hazards, whole.hazards)
+            params = as_float32(params)
+        hazards, whole = whole_pass_forward(subs, params, CHUNK_CFG)
+        assert hazards.dtype == dtype
+        risk = float(-survival_from_hazards(hazards).sum())
+        plain = forward(subs, params, CHUNK_CFG)
+        attended, attention = forward(subs, params, CHUNK_CFG, want_attention=True)
+        trained, state = forward(subs, params, CHUNK_CFG, return_state=True)
+        for out in (plain, attended, trained):
+            assert np.array_equal(out.hazards, hazards) and out.risk == risk
+        assert state["chunks"] == [slice(0, step), slice(step, 2 * step),
+                                   slice(2 * step, 3 * step)]
         for layer in ("local", "shuffle"):
-            assert np.array_equal(attention[layer]["attn"], state[layer]["attn"])
-        assert np.array_equal(attention["pool"]["weights"], state["pool"]["weights"])
+            assert np.array_equal(np.concatenate(attention[layer]), whole[layer]["attn"])
+            # each chunk's training state is the rows of the whole pass's state
+            for key in ("qh", "kh", "vh", "attn", "h1"):
+                assert np.array_equal(np.concatenate([entry[key] for entry in state[layer]]),
+                                      whole[layer][key]), (layer, key)
+            for key in ("ln1_state", "ln2_state"):
+                for i, want in enumerate(whole[layer][key]):
+                    got = np.concatenate([entry[key][i] for entry in state[layer]])
+                    assert np.array_equal(got, want), (layer, key)
+        for pool in (attention["pool"], state["pool"]):
+            assert np.array_equal(pool["weights"], whole["pool"]["weights"])
+
+    def test_multi_chunk_step_within_1e_12_of_whole_pass(self):
+        # the chunks' weight gradients add up in another order than one pass's
+        subs = grid_sub_bags(MULTI_CHUNK, CHUNK_CFG)
+        chunked = init_params(CHUNK_CFG, seed=3, scale=0.25)
+        whole = chunked.copy()
+        for label, censored in ((1, 0), (2, 1)):
+            loss = loss_and_grads(subs, label, censored, chunked, CHUNK_CFG)
+            assert loss == whole_pass_loss_and_grads(subs, label, censored, whole, CHUNK_CFG)
+        for name in chunked.names():
+            want = whole.grad(name)
+            assert np.abs(chunked.grad(name) - want).max() <= 1e-12 * np.abs(want).max(), name
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_chunk_step_equals_whole_pass_bit_for_bit(self, dtype):
+        subs = grid_sub_bags((160, 96), CHUNK_CFG)
+        chunked = init_params(CHUNK_CFG, seed=3, scale=0.25)
+        if dtype == np.float32:
+            chunked = as_float32(chunked)
+        whole = chunked.copy()
+        for label, censored in ((1, 0), (2, 1)):
+            loss = loss_and_grads(subs, label, censored, chunked, CHUNK_CFG)
+            assert loss == whole_pass_loss_and_grads(subs, label, censored, whole, CHUNK_CFG)
+        assert chunked.grad_flat.dtype == dtype
+        assert np.array_equal(chunked.grad_flat, whole.grad_flat)
 
     def test_forward_only_peak_below_one_mlp_array(self):
         subs = grid_sub_bags((4096, 4096), CHUNK_CFG)
@@ -515,21 +593,48 @@ class TestChunkedForward:
         n = sum(len(sub.features) for sub in subs)
         assert peak < n * CHUNK_CFG.ffn_ratio * CHUNK_CFG.model_dim * 8
 
-    def test_training_state_keeps_only_what_the_backward_cannot_recompute(self):
-        subs = grid_sub_bags((160, 96), CHUNK_CFG)
+    def test_backward_transients_below_half_an_mlp_array(self, monkeypatch):
+        # above the state the forward hands it, the backward allocates one
+        # chunk's (rows, ffn_ratio*d) temporaries, not the patient's
+        from hvtsurv import survmodel
+        subs = grid_sub_bags((4096, 4096), CHUNK_CFG)
+        params = init_params(CHUNK_CFG, seed=3)
+        loss_and_grads(subs, 1, 0, params, CHUNK_CFG)   # first-use imports stay out of the trace
+        real_forward, held = survmodel.forward, []
+
+        def forward_then_reset_peak(*args, **kwargs):
+            result = real_forward(*args, **kwargs)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return result
+
+        monkeypatch.setattr(survmodel, "forward", forward_then_reset_peak)
+        tracemalloc.start()
+        try:
+            loss_and_grads(subs, 1, 0, params, CHUNK_CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         n = sum(len(sub.features) for sub in subs)
+        assert peak - held[0] < n * CHUNK_CFG.ffn_ratio * CHUNK_CFG.model_dim * 8 / 2
+
+    def test_training_state_keeps_only_what_the_backward_cannot_recompute(self):
+        subs = grid_sub_bags(MULTI_CHUNK, CHUNK_CFG)
+        n = sum(MULTI_CHUNK)
         _, state = forward(subs, init_params(CHUNK_CFG, seed=3), CHUNK_CFG, return_state=True)
-        assert set(state) == {"perm", "local", "shuffle", "pool", "inv", "pooled", "hazards"}
+        assert set(state) == {"perm", "local", "shuffle", "pool", "chunks", "inv", "pooled"}
         for layer in ("local", "shuffle"):
-            # no u, u2 or ctx: the backward recomputes them bit for bit
-            assert set(state[layer]) == {"ln1_state", "qh", "kh", "vh", "attn", "ln2_state",
-                                         "h1", "scale", "idx"}
+            assert len(state[layer]) == len(state["chunks"]) == 3
+            for entry in state[layer]:
+                # no u, u2 or ctx: the backward recomputes them bit for bit
+                assert set(entry) == {"ln1_state", "qh", "kh", "vh", "attn", "ln2_state",
+                                      "h1", "scale", "idx"}
         stack = [state]
         while stack:
             item = stack.pop()
             if isinstance(item, dict):
                 stack.extend(item.values())
-            elif isinstance(item, tuple):
+            elif isinstance(item, (tuple, list)):
                 stack.extend(item)
             elif isinstance(item, np.ndarray):
                 assert item.shape != (n, CHUNK_CFG.input_dim)
@@ -544,7 +649,8 @@ class TestExportAttention:
     def test_matrices_row_stochastic(self):
         _, state = self.attention_for(make_patient("P1"), init_params(MICRO_CFG, 1), MICRO_CFG)
         for layer in ("local", "shuffle"):
-            assert np.allclose(state[layer]["attn"].sum(axis=-1), 1.0, atol=1e-6)
+            for attn in state[layer]:
+                assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
         assert np.isclose(state["pool"]["weights"].sum(), 1.0)
 
     def test_drop_fraction_zero_keeps_everything(self):
@@ -583,7 +689,7 @@ class TestExportAttention:
         for layer in ("local", "shuffle"):
             rows = layers[layer]
             # score of window row j: its attention column, averaged over heads and queries
-            attn = state[layer]["attn"]
+            attn = np.concatenate(state[layer])
             raw = np.array([attn[k, :, :, j].mean() for k in range(attn.shape[0])
                             for j in range(MICRO_CFG.window_size)])
             expect = (raw - raw.min()) / (raw.max() - raw.min())
@@ -608,11 +714,13 @@ class TestExportAttention:
         _, full = forward(subs, params, MICRO_CFG, return_state=True)
         assert len(subs) == 4
         assert set(state) == {"perm", "local", "shuffle", "pool"}
-        assert set(state["local"]) == set(state["shuffle"]) == {"attn"}
         assert state["perm"].size == sum(len(sub.source_rows) for sub in subs)
         assert np.array_equal(state["perm"], full["perm"])
         for layer in ("local", "shuffle"):
-            assert np.array_equal(state[layer]["attn"], full[layer]["attn"])
+            # per chunk, only the attention of the training state's chunk
+            assert len(state[layer]) == len(full[layer])
+            for attn, entry in zip(state[layer], full[layer]):
+                assert isinstance(attn, np.ndarray) and np.array_equal(attn, entry["attn"])
 
 
 class TestPlantedAttentionConcentration:
@@ -816,7 +924,7 @@ class TestCheckpoint:
         # a float64 scalar or cast anywhere on the path widens what follows it
         assert out.hazards.dtype == np.float32
         assert state["pool"]["t"].dtype == np.float32
-        assert state["local"]["attn"].dtype == state["shuffle"]["attn"].dtype == np.float32
+        assert all(attn.dtype == np.float32 for attn in state["local"] + state["shuffle"])
         widened = ParamStore({name: loaded[name].astype(np.float64) for name in loaded.names()})
         assert widened.flat.dtype == np.float64
         assert abs(forward(subs, widened, cfg).risk - out.risk) <= 1e-5
