@@ -14,7 +14,9 @@ The manifest header is ``patient_id,wsi_path,time_months,censored`` and
 from __future__ import annotations
 
 import csv
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -189,13 +191,31 @@ def read_patch_bag(path) -> PatchBag:
     return PatchBag(wsi_id=Path(path).stem, coords=coords, features=features)
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Write to ``{path}.tmp`` and move it over ``path`` once the block
+    completes; on an error ``path`` keeps what it held and no ``.tmp`` stays."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path, header, rows) -> None:
+    """A header line and rows of values, written through ``atomic_open``."""
+    with atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_manifest(path, rows: list[dict]) -> None:
     """Write a manifest CSV. Each row needs the four manifest columns."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(MANIFEST_COLUMNS))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in MANIFEST_COLUMNS})
+    write_csv(path, MANIFEST_COLUMNS, ([row[k] for k in MANIFEST_COLUMNS] for row in rows))
 
 
 def load_manifest(path) -> list[PatientRecord]:

@@ -17,7 +17,6 @@ numeric error.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import os
 import sys
@@ -28,9 +27,11 @@ import numpy as np
 
 from . import survstats
 from .bagio import (
+    atomic_open,
     bin_survival_times,
     load_manifest,
     stratified_kfold,
+    write_csv,
     write_manifest,
     write_patch_bag,
     write_pbag_arrays,
@@ -161,7 +162,7 @@ def _require_path(path, what: str) -> Path:
 
 def _write_produced(out_dir: Path, command: str, paths: list[Path]) -> None:
     listing = out_dir / f"{command}_files.txt"
-    with open(listing, "w") as fh:
+    with atomic_open(listing) as fh:
         for p in sorted(paths):
             fh.write(f"{p.relative_to(out_dir)}\n")
 
@@ -173,10 +174,7 @@ def cmd_synth(rc: RunConfig, out: str, force: bool) -> dict:
     bag_dir.mkdir(exist_ok=True)
     records = gen_cohort(rc.synth_config())
 
-    produced = []
-    rows = []
-    n_wsis = 0
-    n_patches = 0
+    produced, rows = [], []
     for rec in records:
         for bag in rec.bags:
             path = bag_dir / f"{bag.wsi_id}.pbag"
@@ -185,18 +183,15 @@ def cmd_synth(rc: RunConfig, out: str, force: bool) -> dict:
             rows.append(dict(patient_id=rec.patient_id, wsi_path=f"bags/{bag.wsi_id}.pbag",
                              time_months=rec.follow_up.time_months,
                              censored=rec.follow_up.censored))
-            n_wsis += 1
-            n_patches += bag.n_patches
     manifest = out_dir / "manifest.csv"
     write_manifest(manifest, rows)
-    produced.append(manifest)
-    _write_produced(out_dir, "synth", produced)
+    _write_produced(out_dir, "synth", produced + [manifest])
 
     summary = dict(
         patients=len(records),
-        wsis=n_wsis,
+        wsis=len(rows),
         censored_ratio=float(np.mean([r.follow_up.censored for r in records])),
-        mean_patches_per_wsi=n_patches / n_wsis,
+        mean_patches_per_wsi=sum(b.n_patches for r in records for b in r.bags) / len(rows),
     )
     print(f"cohort: {summary['patients']} patients, {summary['wsis']} WSIs, "
           f"censored ratio {summary['censored_ratio']:.3f}, "
@@ -222,11 +217,9 @@ def cmd_rearrange(rc: RunConfig, manifest: str, out: str, force: bool,
         pbag_path = re_dir / f"{bag.wsi_id}.pbag"
         write_pbag_arrays(pbag_path, reb.scaled_coords, reb.features)
         sidecar = re_dir / f"{bag.wsi_id}.windows.csv"
-        with open(sidecar, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row_index", "window_index", "gx", "gy"])
-            i = np.arange(reb.features.shape[0])
-            writer.writerows(np.column_stack([i, i // reb.window_size, reb.scaled_coords]).tolist())
+        i = np.arange(reb.features.shape[0])
+        write_csv(sidecar, ["row_index", "window_index", "gx", "gy"],
+                  np.column_stack([i, i // reb.window_size, reb.scaled_coords]).tolist())
         produced += [pbag_path, sidecar]
         if report:
             report_rows.append(dict(wsi_id=bag.wsi_id, knn_mean=window_mean_manhattan(reb),
@@ -234,13 +227,9 @@ def cmd_rearrange(rc: RunConfig, manifest: str, out: str, force: bool,
 
     if report:
         report_path = out_dir / "window_distance_report.csv"
-        with open(report_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["wsi_id", "knn_mean", "raster_mean"])
-            writer.writeheader()
-            writer.writerows(
-                {**r, "knn_mean": f"{r['knn_mean']:.6f}", "raster_mean": f"{r['raster_mean']:.6f}"}
-                for r in report_rows
-            )
+        write_csv(report_path, ["wsi_id", "knn_mean", "raster_mean"],
+                  ([r["wsi_id"], f"{r['knn_mean']:.6f}", f"{r['raster_mean']:.6f}"]
+                   for r in report_rows))
         produced.append(report_path)
     _write_produced(out_dir, "rearrange", produced)
     print(f"rearranged {len(bags)} WSIs at window size {w}")
@@ -274,13 +263,9 @@ def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool) -> dict:
                  result.history[-1]["val_loss"] if result.history else "n/a")
 
     metrics = out_dir / "metrics.csv"
-    with open(metrics, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fold", "epoch", "train_loss", "val_loss", "val_cindex"])
-        for fold, history in histories.items():
-            for h in history:
-                writer.writerow([fold, h["epoch"], f"{h['train_loss']:.6f}",
-                                 f"{h['val_loss']:.6f}", f"{h['val_cindex']:.6f}"])
+    write_csv(metrics, ["fold", "epoch", "train_loss", "val_loss", "val_cindex"],
+              ([fold, h["epoch"], f"{h['train_loss']:.6f}", f"{h['val_loss']:.6f}",
+                f"{h['val_cindex']:.6f}"] for fold, history in histories.items() for h in history))
     produced.append(metrics)
     _write_produced(out_dir, "train", produced)
     print(f"trained {len(splits)} folds -> {out_dir}")
@@ -350,9 +335,8 @@ def cmd_eval(rc: RunConfig, manifest: str, checkpoint_dir: str, out: str,
         low, high = survstats.risk_stratify(preds)
         pooled_low.extend(low)
         pooled_high.extend(high)
-        risk_rows.extend(dict(fold=fold, patient_id=p.patient_id, risk=p.risk,
-                              time_months=p.time_months, censored=p.censored)
-                         for p in preds)
+        risk_rows.extend([fold, p.patient_id, f"{p.risk:.8f}", f"{p.time_months:.6f}",
+                          p.censored] for p in preds)
 
     chi, p_value = survstats.logrank_test(pooled_low, pooled_high)
     report = out_dir / "report.csv"
@@ -363,13 +347,7 @@ def cmd_eval(rc: RunConfig, manifest: str, checkpoint_dir: str, out: str,
         "high": survstats.km_curve(pooled_high),
     })
     risks_path = out_dir / "risks.csv"
-    with open(risks_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["fold", "patient_id", "risk",
-                                                "time_months", "censored"])
-        writer.writeheader()
-        for row in risk_rows:
-            writer.writerow({**row, "risk": f"{row['risk']:.8f}",
-                             "time_months": f"{row['time_months']:.6f}"})
+    write_csv(risks_path, ["fold", "patient_id", "risk", "time_months", "censored"], risk_rows)
     _write_produced(out_dir, "eval", [report, km_path, risks_path])
     print(f"mean test C-Index {np.mean(fold_ci):.4f} over {len(fold_ci)} folds; "
           f"pooled log-rank p = {p_value:.3g}")
@@ -394,13 +372,9 @@ def cmd_attn(rc: RunConfig, manifest: str, checkpoint: str, patient_id: str,
     layers = export_attention(subs, state, drop_fraction=rc.drop_fraction)
 
     path = out_dir / f"attention_{patient_id}.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "wsi_id", "patch_index", "gx", "gy", "score"])
-        for layer, rows in layers.items():
-            for r in rows:
-                writer.writerow([layer, r["wsi_id"], r["patch_index"], r["gx"], r["gy"],
-                                 f"{r['score']:.6f}"])
+    write_csv(path, ["layer", "wsi_id", "patch_index", "gx", "gy", "score"],
+              ([layer, r["wsi_id"], r["patch_index"], r["gx"], r["gy"], f"{r['score']:.6f}"]
+               for layer, rows in layers.items() for r in rows))
     _write_produced(out_dir, "attn", list(out_dir.glob("attention_*.csv")))
     print(f"attention scores for {patient_id} -> {path}")
     return dict(layers={k: len(v) for k, v in layers.items()})

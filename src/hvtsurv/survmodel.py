@@ -15,15 +15,13 @@ live here too.
 from __future__ import annotations
 
 import logging
-import os
 import struct
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
 from . import survstats
-from .bagio import PatientRecord
+from .bagio import PatientRecord, atomic_open
 from .blocks import (
     BucketParams,
     attn_pool,
@@ -505,26 +503,20 @@ def save_checkpoint(path, params: ParamStore, cfg: HVTSurvConfig,
     written to ``{path}.tmp`` and then moved over ``path`` in one step."""
     items = {**config_items(cfg), **(extra or {})}
     config_blob = "".join(f"{k}={v}\n" for k, v in items.items()).encode("utf-8")
-    tmp = Path(f"{path}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(config_blob)))
-            fh.write(config_blob)
-            names = params.names()
-            fh.write(struct.pack("<I", len(names)))
-            for name in names:
-                encoded = name.encode("utf-8")
-                arr = params[name]
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<B", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.astype("<f4").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(config_blob)))
+        fh.write(config_blob)
+        names = params.names()
+        fh.write(struct.pack("<I", len(names)))
+        for name in names:
+            encoded = name.encode("utf-8")
+            arr = params[name]
+            fh.write(struct.pack("<H", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<B", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(arr.astype("<f4").tobytes())
 
 
 def load_checkpoint(path):

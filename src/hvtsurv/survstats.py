@@ -7,12 +7,12 @@ test, and the median risk split used for stratified curves.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bagio import write_csv
 from .errors import UndefinedStatisticError, ValidationError
 
 
@@ -140,21 +140,15 @@ def risk_stratify(preds: list[RiskPrediction],
 def write_evaluation_report(path, fold_cindex: list[float], pooled_logrank_p: float,
                             pooled_chi_square: float) -> None:
     """Per-fold concordance plus the pooled stratified log-rank result."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "fold", "value"])
-        for fold, ci in enumerate(fold_cindex):
-            writer.writerow(["c_index", fold, f"{ci:.6f}"])
-        writer.writerow(["c_index_mean", "all", f"{np.mean(fold_cindex):.6f}"])
-        writer.writerow(["logrank_chi_square", "pooled", f"{pooled_chi_square:.6f}"])
-        writer.writerow(["logrank_p", "pooled", f"{pooled_logrank_p:.6g}"])
+    write_csv(path, ["metric", "fold", "value"],
+              [["c_index", fold, f"{ci:.6f}"] for fold, ci in enumerate(fold_cindex)]
+              + [["c_index_mean", "all", f"{np.mean(fold_cindex):.6f}"],
+                 ["logrank_chi_square", "pooled", f"{pooled_chi_square:.6f}"],
+                 ["logrank_p", "pooled", f"{pooled_logrank_p:.6g}"]])
 
 
 def write_km_csv(path, curves: dict[str, KMCurve]) -> None:
     """KM curves as (time, survival, group) rows for external plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "survival", "group"])
-        for group, curve in curves.items():
-            for t, s in zip(curve.event_times, curve.survival):
-                writer.writerow([f"{t:.6f}", f"{s:.6f}", group])
+    write_csv(path, ["time", "survival", "group"],
+              ([f"{t:.6f}", f"{s:.6f}", group] for group, curve in curves.items()
+               for t, s in zip(curve.event_times, curve.survival)))

@@ -2,9 +2,10 @@
 
 Each patient draws a latent risk r in [0, 1]. The risk shows up twice:
 
-* a fraction ``0.5 * sigmoid(signal_strength * (r - 0.5))`` of each WSI's
-  patches carries a shifted-mean feature signature, grown as a contiguous
-  blob on the occupancy mask so the signal has local spatial structure;
+* a fraction ``SIGNATURE_FRACTION_MAX * sigmoid(signal_strength * (r - 0.5))``
+  of each WSI's patches carries a shifted-mean feature signature, grown as
+  a contiguous blob on the occupancy mask so the signal has local spatial
+  structure;
 * survival time is exponential with rate ``exp(HAZARD_SLOPE*(r-0.5))``
   divided by ``TIME_SCALE_MONTHS``, so higher risk means earlier failure.
 
@@ -13,6 +14,12 @@ the signature patches stay shifted relative to the rest of the bag but
 the bag-level mean is uninformative: a random linear readout of pooled
 features scores at chance, and recovering the risk requires attending to
 individual patches.
+
+Masks and blobs are boolean grids indexed [x, y], whose ``np.nonzero``
+lists cells in sorted (x, y) order, the row order of each bag. A WSI's
+mask is the largest 8-connected component of a random draw, cut to its
+patch count by a breadth-first walk from its first cell; the signature
+blob is the same walk from a random patch.
 
 Censoring flips an independent coin per patient; a censored patient's
 observed time is uniform on (0, true time). Everything is a pure function
@@ -83,13 +90,22 @@ class CohortTruth:
 
 
 def gen_irregular_mask(width: int, height: int, hole_density: float, seed: int):
-    """Connected occupancy set on a width x height grid with random holes.
+    """The cells of ``_irregular_grid`` as a set of (x, y) grid coordinates."""
+    return _cells(_irregular_grid(width, height, hole_density, seed))
+
+
+def _cells(grid: np.ndarray) -> set[tuple[int, int]]:
+    return {(int(x), int(y)) for x, y in zip(*np.nonzero(grid))}
+
+
+def _irregular_grid(width: int, height: int, hole_density: float, seed: int) -> np.ndarray:
+    """Connected occupancy grid, indexed [x, y], with random holes.
 
     Cells are dropped independently with probability ``hole_density``;
-    the largest 8-connected component of what remains is returned as a
-    set of (x, y) grid coordinates. With diagonal adjacency the component
-    almost always covers the whole occupied set, so the occupancy count
-    follows the Binomial(width*height, 1 - hole_density) draw closely.
+    the largest 8-connected component of what remains is kept. With
+    diagonal adjacency the component almost always covers the whole
+    occupied set, so the occupancy count follows the
+    Binomial(width*height, 1 - hole_density) draw closely.
     """
     if width < 1 or height < 1:
         raise ConfigurationError(f"mask grid must be at least 1x1, got {width}x{height}")
@@ -98,89 +114,94 @@ def gen_irregular_mask(width: int, height: int, hole_density: float, seed: int):
     rng = np.random.default_rng(seed)
     for _ in range(MASK_RETRY_LIMIT):
         occupied = rng.random((height, width)) >= hole_density
-        if not occupied.any():
-            continue
-        ys, xs = np.nonzero(largest_component(occupied))
-        return {(int(x), int(y)) for x, y in zip(xs, ys)}
-    raise ConfigurationError(
-        f"mask draw degenerate after {MASK_RETRY_LIMIT} attempts "
-        f"(hole_density={hole_density})"
-    )
+        if occupied.any():
+            return largest_component(occupied).T
+    raise ConfigurationError(f"mask draw degenerate after {MASK_RETRY_LIMIT} attempts "
+                             f"(hole_density={hole_density})")
 
 
 def largest_component(occupied: np.ndarray) -> np.ndarray:
     """Mask of the largest 8-connected component of a 2-D boolean grid.
 
-    Each occupied cell ends up labelled with the smallest raster index in
-    its component: every round takes the minimum label over each cell's
-    3x3 neighbourhood and then replaces each label by the label of the
-    cell it names (pointer jumping), until a round changes nothing. A tie
-    in size goes to the component whose first cell comes first in raster
-    order, as with ``scipy.ndimage.label`` and ``argmax`` of its counts.
+    A vectorised union-find over the 8-neighbour edges. Each horizontal
+    run starts out joined under its first cell, which leaves one edge per
+    touching pair of runs in consecutive rows. Each round hooks the larger
+    root of every edge onto the smaller, jumps pointers until all point at
+    roots and drops the edges now inside one tree. A root is its
+    component's first cell in raster order, so a tie in size goes to the
+    first component, as with ``scipy.ndimage.label`` and ``argmax``.
     """
     h, w = occupied.shape
-    n = h * w
-    # flat labels with one extra slot, n, that empty cells point to
-    label = np.append(np.where(occupied.ravel(), np.arange(n), n), n)
-    empty = np.append(~occupied, False)
-    padded = np.full((h + 2, w + 2), n)
-    while True:
-        padded[1:-1, 1:-1] = label[:-1].reshape(h, w)
-        low = np.minimum(np.minimum(padded[:-2], padded[1:-1]), padded[2:])
-        new = np.append(np.minimum(np.minimum(low[:, :-2], low[:, 1:-1]), low[:, 2:]), n)
-        new[empty] = n
-        new = new[new]
-        if np.array_equal(new, label):
-            grid = label[:-1].reshape(h, w)
-            return grid == np.bincount(grid[occupied]).argmax()
-        label = new
+    cols = w + 1   # an empty column, so no run or edge wraps to the next row
+    cell = np.zeros((h + 1, cols), dtype=bool)
+    cell[:h, :w] = occupied
+    cell = cell.ravel()
+    index = np.arange(len(cell))
+    starts = cell & ~np.append(False, cell[:-1])
+    parent = np.where(cell, np.maximum.accumulate(np.where(starts, index, 0)), index)
+    up, down = cell[:-cols], cell[cols:]
+    vertical = up & down
+    v = np.flatnonzero(vertical & ~np.append(False, vertical[:-1]))
+    # a diagonal step matters only where neither cell beside it is occupied
+    d = np.flatnonzero(up[:-1] & down[1:] & ~up[1:] & ~down[:-1])
+    a = np.flatnonzero(up[1:] & down[:-1] & ~up[:-1] & ~down[1:])
+    src = np.concatenate([v, d, a + 1])
+    dst = np.concatenate([v, d + 1, a]) + cols
+    while len(src):
+        ps, pd = parent[src], parent[dst]
+        parent[np.maximum(ps, pd)] = np.minimum(ps, pd)
+        while not np.array_equal(nxt := parent[parent], parent):
+            parent = nxt
+        apart = parent[src] != parent[dst]
+        src, dst = src[apart], dst[apart]
+    label = parent.reshape(h + 1, cols)[:h, :w]
+    return label == np.bincount(label[occupied]).argmax()
 
 
-_NEIGHBORS_8 = tuple(
-    (dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0)
-)
+def _bfs_blob(mask: np.ndarray, start: tuple[int, int], size: int) -> np.ndarray:
+    """First ``size`` cells of a breadth-first walk over a boolean grid.
+
+    If layer L (BFS distance from ``start`` over 8-neighbours inside
+    ``mask``) is the first to reach ``size`` cells, the blob is every cell
+    closer than L plus the first cells of layer L in index order: on an
+    [x, y] grid, the order of sorted (x, y) tuples. A smaller component is
+    returned whole. Each layer is the last one's 3x3 dilation inside the
+    mask, as 8 offsets of flat indices on a copy padded by an empty cell.
+    """
+    stride = mask.shape[1] + 2
+    free = np.zeros((mask.shape[0] + 2, stride), dtype=bool)
+    free[1:-1, 1:-1] = mask
+    flat = free.ravel()
+    steps = np.array([-stride - 1, -stride, -stride + 1, -1, 1, stride - 1, stride, stride + 1])
+    layer = np.array([(start[0] + 1) * stride + start[1] + 1])
+    flat[layer] = False
+    count = 1
+    while count < size:
+        near = (layer[:, None] + steps).ravel()
+        near = np.sort(near[flat[near]])
+        if len(near) == 0:
+            break
+        layer = near[np.append(True, near[1:] != near[:-1])][:size - count]
+        flat[layer] = False
+        count += len(layer)
+    return mask & ~free[1:-1, 1:-1]
 
 
-def _grow_blob(cells: set[tuple[int, int]], start: tuple[int, int], size: int):
-    """First ``size`` cells of a breadth-first walk over the mask."""
-    frontier = [start]
-    seen = {start}
-    blob: list[tuple[int, int]] = []
-    while frontier and len(blob) < size:
-        nxt: list[tuple[int, int]] = []
-        for cell in frontier:
-            blob.append(cell)
-            if len(blob) >= size:
-                break
-            x, y = cell
-            for dx, dy in _NEIGHBORS_8:
-                nb = (x + dx, y + dy)
-                if nb in cells and nb not in seen:
-                    seen.add(nb)
-                    nxt.append(nb)
-        frontier = sorted(nxt)
-    return set(blob)
-
-
-def _mask_for_target(cfg: SynthConfig, target: int, seed: int):
-    """Mask whose occupancy is trimmed to about ``target`` cells."""
+def _mask_for_target(cfg: SynthConfig, target: int, seed: int) -> np.ndarray:
+    """Mask grid, indexed [x, y], trimmed to about ``target`` cells."""
     gw, gh, density = cfg.grid_shape
     aspect = gh / gw
     area = target / max(1.0 - density, 1e-9)
     for _ in range(3):
         width = max(1, round(np.sqrt(area / aspect)))
         height = max(1, int(np.ceil(area / width)))
-        cells = gen_irregular_mask(width, height, density, seed)
-        if len(cells) >= target:
-            start = min(cells)
-            return _grow_blob(cells, start, target)
+        grid = _irregular_grid(width, height, density, seed)
+        if np.count_nonzero(grid) >= target:
+            first = np.unravel_index(np.argmax(grid), grid.shape)
+            return _bfs_blob(grid, first, target)
         area *= 1.3
         seed = derive_seed(seed, "mask-regrow")
-    return cells
-
-
-def _sigmoid(x: float) -> float:
-    return 1.0 / (1.0 + np.exp(-x))
+    return grid
 
 
 def gen_cohort(cfg: SynthConfig, return_truth: bool = False):
@@ -198,7 +219,7 @@ def gen_cohort(cfg: SynthConfig, return_truth: bool = False):
         pid = f"P{i:04d}"
         rng = rng_for(cfg.seed, f"patient:{pid}")
         r = float(rng.uniform())
-        q = SIGNATURE_FRACTION_MAX * _sigmoid(cfg.signal_strength * (r - 0.5))
+        q = SIGNATURE_FRACTION_MAX * (1.0 / (1.0 + np.exp(-(cfg.signal_strength * (r - 0.5)))))
 
         n_wsis = int(rng.integers(cfg.wsis_per_patient_range[0], cfg.wsis_per_patient_range[1] + 1))
         bags = []
@@ -206,22 +227,22 @@ def gen_cohort(cfg: SynthConfig, return_truth: bool = False):
         for j in range(n_wsis):
             wsi_id = f"{pid}-W{j}"
             target = int(rng.integers(cfg.patches_per_wsi_range[0], cfg.patches_per_wsi_range[1] + 1))
-            cells = _mask_for_target(cfg, target, derive_seed(cfg.seed, f"mask:{wsi_id}"))
-            ordered = sorted(cells)
-            b = len(ordered)
+            grid = _mask_for_target(cfg, target, derive_seed(cfg.seed, f"mask:{wsi_id}"))
+            xs, ys = np.nonzero(grid)   # x-major: the order of sorted (x, y) cells
+            b = len(xs)
 
             features = rng.normal(size=(b, cfg.feature_dim))
             n_sig = int(round(q * b))
-            blob: set[tuple[int, int]] = set()
+            blob = np.zeros_like(grid)
             if n_sig > 0:
-                start = ordered[int(rng.integers(b))]
-                blob = _grow_blob(cells, start, n_sig)
-                in_blob = np.array([cell in blob for cell in ordered])
-                features[in_blob] += SIGNATURE_SHIFT * sig_dir
+                k = int(rng.integers(b))
+                blob = _bfs_blob(grid, (xs[k], ys[k]), n_sig)
+                features[blob[xs, ys]] += SIGNATURE_SHIFT * sig_dir
             features -= features.mean(axis=0)
-            per_wsi_sig[wsi_id] = blob
+            if return_truth:
+                per_wsi_sig[wsi_id] = _cells(blob)
 
-            coords = np.array(ordered, dtype=np.int64) * PATCH_PIXELS
+            coords = np.stack([xs, ys], axis=1).astype(np.int64) * PATCH_PIXELS
             bags.append(PatchBag(wsi_id=wsi_id, coords=coords, features=features))
 
         rate = np.exp(HAZARD_SLOPE * (r - 0.5)) / TIME_SCALE_MONTHS
@@ -229,9 +250,7 @@ def gen_cohort(cfg: SynthConfig, return_truth: bool = False):
         censored = int(rng.uniform() < cfg.censor_rate)
         t_obs = t_true * float(rng.uniform()) if censored else t_true
 
-        records.append(
-            PatientRecord(patient_id=pid, bags=bags, follow_up=FollowUp(t_obs, censored))
-        )
+        records.append(PatientRecord(pid, bags, FollowUp(t_obs, censored)))
         risks[i] = r
         true_times[i] = t_true
         fractions[i] = q

@@ -176,6 +176,19 @@ class TestManifest:
         with pytest.raises(FormatError):
             load_manifest(path)
 
+    def test_failed_write_keeps_the_previous_manifest(self, tmp_path):
+        # A write that stops mid-rows must not leave a shorter manifest that
+        # loads as a smaller cohort, nor a stray temporary beside it.
+        path = self.write_cohort(tmp_path, [("P1", "A", 10.0, 0), ("P2", "C", 5.0, 1)])
+        before = path.read_bytes()
+        rows = [dict(patient_id="P3", wsi_path="A.pbag", time_months=2.0, censored=0),
+                dict(patient_id="P4", wsi_path="C.pbag")]
+        with pytest.raises(KeyError):
+            write_manifest(path, rows)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir() if f.suffix == ".tmp"] == []
+        assert len(load_manifest(path)) == 2
+
 
 def make_records(times, censored):
     bag = make_bag(b=2, d=2)

@@ -125,6 +125,16 @@ class TestSynth:
         assert any(line.startswith("bags/") for line in listing)
 
 
+def test_failed_listing_write_keeps_the_previous_listing(tmp_path):
+    listing = tmp_path / "synth_files.txt"
+    cli._write_produced(tmp_path, "synth", [tmp_path / "a.pbag", tmp_path / "manifest.csv"])
+    before = listing.read_bytes()
+    with pytest.raises(ValueError):   # a path outside the run directory
+        cli._write_produced(tmp_path, "synth", [tmp_path / "b.pbag", tmp_path.parent / "x"])
+    assert listing.read_bytes() == before
+    assert not (tmp_path / "synth_files.txt.tmp").exists()
+
+
 class TestRearrange:
     def test_report_and_sidecars(self, cohort, tmp_path):
         out = tmp_path / "rearr"

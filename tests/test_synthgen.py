@@ -1,9 +1,20 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from hvtsurv.errors import ConfigurationError
-from hvtsurv.synthgen import SynthConfig, gen_cohort, gen_irregular_mask, largest_component
+from hvtsurv.seeding import derive_seed
+from hvtsurv.synthgen import (
+    SynthConfig,
+    _bfs_blob,
+    _irregular_grid,
+    _mask_for_target,
+    gen_cohort,
+    gen_irregular_mask,
+    largest_component,
+)
 
 
 class TestIrregularMask:
@@ -142,3 +153,146 @@ class TestGenCohort:
             SynthConfig(n_patients=5, censor_rate=1.5)
         with pytest.raises(ConfigurationError):
             SynthConfig(n_patients=5, patches_per_wsi_range=(10, 5))
+
+
+def grid_from_rows(*rows):
+    """[x, y] grid from text rows, one per y: '#' occupied, '.' a hole."""
+    return np.array([[c == "#" for c in row] for row in rows]).T
+
+
+def reference_blob(mask, start, size):
+    """The contract, spelled out: BFS distances over the 8-neighbours in
+    the mask, then every cell closer than layer L plus the first cells of
+    layer L in sorted (x, y) order, L being the first layer to reach size."""
+    cells = {(int(x), int(y)) for x, y in zip(*np.nonzero(mask))}
+    dist, layer, d = {start: 0}, [start], 0
+    while layer:
+        d += 1
+        nxt = {(x + dx, y + dy) for x, y in layer for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
+        layer = sorted(c for c in nxt if c in cells and c not in dist)
+        dist.update((c, d) for c in layer)
+    ordered = sorted(dist, key=lambda c: (dist[c], c))[:size]
+    want = np.zeros_like(mask)
+    for x, y in ordered:
+        want[x, y] = True
+    return want
+
+
+class TestBfsBlob:
+    # y rows of an [x, y] grid; the hole column at x=1 and x=3 forces a detour,
+    # so BFS distance from (0, 0) is not the Chebyshev distance.
+    DETOUR = grid_from_rows("#.###",
+                            "#.#.#",
+                            "###.#",
+                            "....#")
+
+    def test_layers_then_x_major_within_the_last_layer(self):
+        mask = self.DETOUR
+        # layers: 0 {(0,0)}, 1 {(0,1)}, 2 {(0,2),(1,2)}, 3 {(2,1),(2,2)},
+        # 4 {(2,0),(3,0)}, 5 {(4,0),(4,1)}, 6 {(4,2)}, 7 {(4,3)}
+        want = {5: {(0, 0), (0, 1), (0, 2), (1, 2), (2, 1)},
+                7: {(0, 0), (0, 1), (0, 2), (1, 2), (2, 1), (2, 2), (2, 0)},
+                9: {(0, 0), (0, 1), (0, 2), (1, 2), (2, 1), (2, 2), (2, 0), (3, 0), (4, 0)}}
+        for size, cells in want.items():
+            got = _bfs_blob(mask, (0, 0), size)
+            assert {(int(x), int(y)) for x, y in zip(*np.nonzero(got))} == cells
+
+    def test_ties_in_a_layer_go_x_major(self):
+        full = np.ones((3, 3), dtype=bool)
+        got = _bfs_blob(full, (1, 1), 5)
+        # x-major: (0,0), (0,1), (0,2), (1,0); a y-major order would take (2,0)
+        assert {(int(x), int(y)) for x, y in zip(*np.nonzero(got))} == {
+            (1, 1), (0, 0), (0, 1), (0, 2), (1, 0)}
+
+    def test_size_one_is_the_start_cell(self):
+        got = _bfs_blob(self.DETOUR, (4, 3), 1)
+        assert np.count_nonzero(got) == 1 and got[4, 3]
+
+    def test_small_component_is_returned_whole(self):
+        mask = grid_from_rows("##..#",
+                              "#...#",
+                              "....#",
+                              "#####")
+        got = _bfs_blob(mask, (0, 1), 20)
+        want = np.zeros_like(mask)
+        want[0, 0] = want[1, 0] = want[0, 1] = True
+        assert np.array_equal(got, want)
+        assert np.array_equal(_bfs_blob(mask, (4, 0), 20), mask & ~want)
+
+    def test_matches_the_reference_on_grids_with_holes(self):
+        rng = np.random.default_rng(23)
+        for trial in range(150):
+            w, h = rng.integers(1, 30, size=2)
+            mask = rng.random((w, h)) >= rng.uniform(0.0, 0.6)
+            if not mask.any():
+                continue
+            xs, ys = np.nonzero(mask)
+            k = int(rng.integers(len(xs)))
+            start = (int(xs[k]), int(ys[k]))
+            size = int(rng.integers(1, mask.sum() + 3))
+            assert np.array_equal(_bfs_blob(mask, start, size),
+                                  reference_blob(mask, start, size)), trial
+
+    def test_mask_for_target_falls_back_to_the_last_draw(self):
+        # At 90% holes no draw's largest component gets near the target, so
+        # after three growing draws the last one is returned untrimmed.
+        cfg = SynthConfig(n_patients=1, grid_shape=(20, 20, 0.9))
+        target, seed = 60, 5
+        area, s, draws = target / (1 - 0.9), seed, []
+        for _ in range(3):
+            width = max(1, round(np.sqrt(area)))
+            draws.append(_irregular_grid(width, max(1, int(np.ceil(area / width))), 0.9, s))
+            area *= 1.3
+            s = derive_seed(s, "mask-regrow")
+        assert all(np.count_nonzero(d) < target for d in draws)
+        assert np.array_equal(_mask_for_target(cfg, target, seed), draws[-1])
+
+
+def cohort_digest(records, truth=None):
+    h = hashlib.sha256()
+    for i, rec in enumerate(records):
+        h.update(rec.patient_id.encode())
+        h.update(np.array([rec.follow_up.time_months, rec.follow_up.censored],
+                          dtype=np.float64).tobytes())
+        for bag in rec.bags:
+            h.update(bag.wsi_id.encode())
+            h.update(np.ascontiguousarray(bag.coords, dtype=np.int64).tobytes())
+            h.update(np.ascontiguousarray(bag.features, dtype=np.float64).tobytes())
+            if truth is not None:
+                cells = sorted(truth.signature_cells[i][bag.wsi_id])
+                h.update(np.array(cells, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of coords, features, follow-ups and sorted signature cells, taken
+# with the set-and-tuple generator that the boolean-grid one replaced; the
+# grid form must reproduce every cohort byte for byte.
+PINNED_COHORTS = [
+    ("cohort-train", dict(n_patients=200, wsis_per_patient_range=(1, 2),
+                          patches_per_wsi_range=(100, 200), feature_dim=64,
+                          signal_strength=5.0, censor_rate=0.3, seed=1), True,
+     "ceae921dd335adbc68e52ffecb20814c8b851805084ecf4b641b4a38cad9b40f"),
+    ("paper-slide", dict(n_patients=1, wsis_per_patient_range=(1, 1),
+                         patches_per_wsi_range=(8000, 8000), feature_dim=1024, seed=1), True,
+     "c7cf09a4d5ede10b7425cb57e1e6e1396577727816f67ff1bd8677d362f11075"),
+    ("criterion-5", dict(n_patients=200, signal_strength=5.0, censor_rate=0.3,
+                         feature_dim=64, patches_per_wsi_range=(100, 200),
+                         wsis_per_patient_range=(1, 2), seed=0), True,
+     "3ab71380e28f83eed6562daaae7e7f65113222e6eda16253ddbbad9a8f07fb8b"),
+    ("cli-shaped", dict(n_patients=3, wsis_per_patient_range=(1, 1),
+                        patches_per_wsi_range=(1500, 1700), feature_dim=8, seed=5), False,
+     "d11135440e00710e16ed07f4a6efe23d3a3d9ef6d293a046cda25a1a88d26114"),
+    ("cli-shaped", dict(n_patients=3, wsis_per_patient_range=(1, 1),
+                        patches_per_wsi_range=(1500, 1700), feature_dim=8, seed=5), True,
+     "7084fbb41d7907cbb1a1e36108a08233b4a0cb1c9bd9f7248c9b2c52b5c458bd"),
+]
+
+
+@pytest.mark.parametrize("name, kwargs, with_truth, digest", PINNED_COHORTS,
+                         ids=[f"{c[0]}-{'truth' if c[2] else 'records'}" for c in PINNED_COHORTS])
+def test_cohort_bytes_are_pinned(name, kwargs, with_truth, digest):
+    cfg = SynthConfig(**kwargs)
+    if with_truth:
+        assert cohort_digest(*gen_cohort(cfg, return_truth=True)) == digest
+    else:
+        assert cohort_digest(gen_cohort(cfg)) == digest
