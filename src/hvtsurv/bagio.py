@@ -213,6 +213,14 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def write_int_csv(path, header, array) -> None:
+    """``write_csv`` of a 2-D integer array's rows, formatted as one block:
+    the bytes ``csv.writer`` writes, ``\\r\\n`` line ends included."""
+    line = ",".join(["%d"] * len(header)) + "\r\n"
+    with atomic_open(path, newline="") as fh:
+        fh.write(",".join(header) + "\r\n" + line * len(array) % tuple(array.ravel().tolist()))
+
+
 def write_manifest(path, rows: list[dict]) -> None:
     """Write a manifest CSV. Each row needs the four manifest columns."""
     write_csv(path, MANIFEST_COLUMNS, ([row[k] for k in MANIFEST_COLUMNS] for row in rows))

@@ -17,6 +17,7 @@ numeric error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import logging
 import os
 import sys
@@ -32,6 +33,7 @@ from .bagio import (
     load_manifest,
     stratified_kfold,
     write_csv,
+    write_int_csv,
     write_manifest,
     write_patch_bag,
     write_pbag_arrays,
@@ -167,6 +169,22 @@ def _write_produced(out_dir: Path, command: str, paths: list[Path]) -> None:
             fh.write(f"{p.relative_to(out_dir)}\n")
 
 
+def _cohort_fingerprint(records) -> str:
+    """sha256 over the (patient_id, time_months, censored) rows in record
+    order: the folds that stratified_kfold deals depend on that order too."""
+    rows = ((r.patient_id, r.follow_up.time_months, r.follow_up.censored) for r in records)
+    return hashlib.sha256("".join(f"{p},{t!r},{c}\n" for p, t, c in rows).encode()).hexdigest()
+
+
+def _check_cohort(path, stored, records) -> None:
+    """Reject a checkpoint whose stored fingerprint is not the records' cohort's."""
+    cohort = _cohort_fingerprint(records)
+    if stored is None:
+        log.warning("%s has no cohort fingerprint; its patients are not checked", path)
+    elif stored != cohort:
+        raise FormatError(f"{path}: trained on cohort {stored}, manifest has cohort {cohort}")
+
+
 def cmd_synth(rc: RunConfig, out: str, force: bool) -> dict:
     """Generate a cohort and write it in manifest + PBAG form."""
     out_dir = _prepare_out(out, force, "manifest.csv")
@@ -218,8 +236,8 @@ def cmd_rearrange(rc: RunConfig, manifest: str, out: str, force: bool,
         write_pbag_arrays(pbag_path, reb.scaled_coords, reb.features)
         sidecar = re_dir / f"{bag.wsi_id}.windows.csv"
         i = np.arange(reb.features.shape[0])
-        write_csv(sidecar, ["row_index", "window_index", "gx", "gy"],
-                  np.column_stack([i, i // reb.window_size, reb.scaled_coords]).tolist())
+        write_int_csv(sidecar, ["row_index", "window_index", "gx", "gy"],
+                      np.column_stack([i, i // reb.window_size, reb.scaled_coords]))
         produced += [pbag_path, sidecar]
         if report:
             report_rows.append(dict(wsi_id=bag.wsi_id, knn_mean=window_mean_manhattan(reb),
@@ -244,6 +262,7 @@ def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool) -> dict:
     cfg = rc.model_config(input_dim=records[0].bags[0].feature_dim)
     bin_survival_times(records, cfg.n_intervals)
     splits = stratified_kfold(records, rc.folds, seed=derive_seed(rc.seed, "splits"))
+    cohort = _cohort_fingerprint(records)
 
     produced = []
     histories = {}
@@ -256,7 +275,8 @@ def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool) -> dict:
             raise NumericError(f"fold {fold}: {exc}") from exc
         ckpt = out_dir / f"fold{fold}.ckpt"
         save_checkpoint(ckpt, result.params, cfg,
-                        extra={"fold": fold, "folds": rc.folds, "best_epoch": result.best_epoch})
+                        extra={"fold": fold, "folds": rc.folds, "best_epoch": result.best_epoch,
+                               "cohort_sha256": cohort})
         histories[fold] = result.history
         produced.append(ckpt)
         log.info("fold %d: %d epochs, final val loss %s", fold, len(result.history),
@@ -272,13 +292,13 @@ def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool) -> dict:
     return dict(folds=len(splits), histories=histories)
 
 
-def _fold_checkpoints(ckpt_dir: Path, seed: int, feature_dim: int) -> list[tuple]:
+def _fold_checkpoints(ckpt_dir: Path, seed: int, records) -> list[tuple]:
     """(params, config) of each fold*.ckpt file of one training run, in the
     order of the stored fold keys. Each file is read once.
 
     All checkpoints must agree on the fold count, seed, input_dim,
-    window_size and n_intervals, and their fold keys must be exactly
-    0..k-1 for k files.
+    window_size, n_intervals and cohort, which must be the records'; their
+    fold keys must be exactly 0..k-1 for k files.
     """
     paths = sorted(ckpt_dir.glob("fold*.ckpt"))
     if not paths:
@@ -288,7 +308,8 @@ def _fold_checkpoints(ckpt_dir: Path, seed: int, feature_dim: int) -> list[tuple
     for path in paths:
         params, cfg, extra = load_checkpoint(path)
         run = dict(folds=int(extra.get("folds", -1)), seed=cfg.seed, input_dim=cfg.input_dim,
-                   window_size=cfg.window_size, n_intervals=cfg.n_intervals)
+                   window_size=cfg.window_size, n_intervals=cfg.n_intervals,
+                   cohort=extra.get("cohort_sha256"))
         if first is None:
             first = (path, run)
         elif run != first[1]:
@@ -307,9 +328,11 @@ def _fold_checkpoints(ckpt_dir: Path, seed: int, feature_dim: int) -> list[tuple
         raise FormatError(
             f"checkpoint/config mismatch: trained with seed {run['seed']}, "
             f"evaluating with seed {seed}")
+    feature_dim = records[0].bags[0].feature_dim
     if run["input_dim"] != feature_dim:
         raise FormatError(f"{path}: model expects {run['input_dim']}-dim features, "
                           f"cohort has {feature_dim}")
+    _check_cohort(path, run["cohort"], records)
     return [by_fold[k] for k in range(len(paths))]
 
 
@@ -321,8 +344,7 @@ def cmd_eval(rc: RunConfig, manifest: str, checkpoint_dir: str, out: str,
     out_dir = _prepare_out(out, force, "report.csv")
     records = load_manifest(manifest)
 
-    ckpts = _fold_checkpoints(Path(checkpoint_dir), rc.seed,
-                              records[0].bags[0].feature_dim)
+    ckpts = _fold_checkpoints(Path(checkpoint_dir), rc.seed, records)
     splits = stratified_kfold(records, len(ckpts), seed=derive_seed(rc.seed, "splits"))
 
     fold_ci = []
@@ -364,7 +386,8 @@ def cmd_attn(rc: RunConfig, manifest: str, checkpoint: str, patient_id: str,
     by_id = {r.patient_id: r for r in records}
     if patient_id not in by_id:
         raise ValidationError(f"unknown patient {patient_id!r}")
-    params, cfg, _ = load_checkpoint(checkpoint)
+    params, cfg, extra = load_checkpoint(checkpoint)
+    _check_cohort(checkpoint, extra.get("cohort_sha256"), records)
 
     rec = by_id[patient_id]
     subs = preprocess_patient(rec, cfg, EVAL_MASK_SEED)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bagio import PATCH_PIXELS, PatchBag
-from .blocks import pairwise_manhattan
 from .errors import ConfigurationError
 
 
@@ -154,8 +153,9 @@ def knn_rearrange(bag: PatchBag, w: int) -> RearrangedBag:
         take = cand[best]
         order[out : out + w] = by_cell[take]
         alive[take] = False
-        # the next anchor is usually near this one: start from the radius this window reached
-        r = max(1, math.isqrt(int(dist2[best[-1]])))
+        # the next anchor is usually near this one, and its window about as wide: start
+        # with r*r above this window's reach, so that such a window ends in one pass
+        r = math.isqrt(int(dist2[best[-1]])) + 1
 
     return RearrangedBag(
         wsi_id=bag.wsi_id,
@@ -213,10 +213,13 @@ def random_window_mask(bag: RearrangedBag, m: int, seed: int) -> list[SubWsiBag]
 
 
 def window_mean_manhattan(bag: RearrangedBag) -> float:
-    """Mean over windows of the summed pairwise Manhattan distances
-    (unordered pairs) between scaled coordinates inside each window."""
-    windows = bag.scaled_coords.reshape(bag.n_windows, bag.window_size, 2)
-    return pairwise_manhattan(windows).sum() / 2.0 / bag.n_windows
+    """Mean over windows of the summed unordered-pair Manhattan distances
+    between scaled coordinates in each window, exactly: per window and axis,
+    sum_{i<j} |x_i - x_j| = sum_k (2k - w + 1) x_(k) with x sorted ascending."""
+    w = bag.window_size
+    k = 2 * np.arange(w) - w + 1
+    windows = np.sort(bag.scaled_coords.reshape(bag.n_windows, w, 2), axis=1)
+    return int((windows * k[:, None]).sum()) / bag.n_windows
 
 
 def compare_strategies(bag: PatchBag, w: int) -> tuple[float, float]:

@@ -12,6 +12,8 @@ from hvtsurv.bagio import (
     load_manifest,
     read_patch_bag,
     stratified_kfold,
+    write_csv,
+    write_int_csv,
     write_manifest,
     write_patch_bag,
 )
@@ -296,3 +298,12 @@ class TestStratifiedKFold:
                         continue
                     c = sum(records[i].follow_up.censored for i in part)
                     assert abs(c - len(part) * total / n) <= 1.0
+
+
+@pytest.mark.parametrize("rows", [0, 1, 17])
+def test_write_int_csv_writes_the_bytes_of_write_csv(tmp_path, rows):
+    array = np.random.default_rng(rows).integers(-(10**12), 10**12, size=(rows, 3))
+    write_int_csv(tmp_path / "block.csv", ["a", "b", "c"], array)
+    write_csv(tmp_path / "rows.csv", ["a", "b", "c"], array.tolist())
+    got = (tmp_path / "block.csv").read_bytes()
+    assert got == (tmp_path / "rows.csv").read_bytes() and got.count(b"\r\n") == rows + 1

@@ -205,6 +205,67 @@ class TestRearrange:
         assert outs[0] == outs[1]
 
 
+# sha256 of every file that `rearrange --report` writes for three slides of
+# 600-900 patches at w=49 (large enough for the square search), taken before
+# the sidecar, the report's mean and the kNN start radius were rewritten
+PINNED_REARRANGE = {
+    "rearrange_files.txt": "b41d40f56595bfdd11851be7d6212a382834d499ffafbe53c0637dc421a26a52",
+    "rearranged/P0000-W0.pbag": "9e0bc6ef4059485caf803edba5e476c00d348dc77a203fab6eff807506f2acb7",
+    "rearranged/P0000-W0.windows.csv":
+        "9683f9020ce7b9f7a7dfabc59d0a78326ae4c5420882769f86be2a0c27985510",
+    "rearranged/P0001-W0.pbag": "25a8654987163417eca359b395f4704213ddec9f5f64fafcd6e8db153e0e31e9",
+    "rearranged/P0001-W0.windows.csv":
+        "0981e1c8110c714ca2ad1e9647102be9efd1d14e1a1f1e81f533377d52700801",
+    "rearranged/P0002-W0.pbag": "2a3b0c054cdd2c6f8dbc3c521be0ab33764b8d23f177a6c566943ea137cf2c1d",
+    "rearranged/P0002-W0.windows.csv":
+        "7856fc77c2a2ed06a2ea5a0e1a786c3f15f5bcfa4cca7a16c0cd5d72217291c9",
+    "window_distance_report.csv":
+        "298fbfbf08463bb77bffb2a8b591569e1f997467f3fd381f0cf835814eeec6f9",
+}
+
+
+def test_rearrange_output_bytes_are_pinned(tmp_path):
+    import hashlib
+    config = tmp_path / "run.cfg"
+    config.write_text("n_patients=3\nwsis_min=1\nwsis_max=1\n"
+                      "patches_min=600\npatches_max=900\nfeature_dim=8\n")
+    assert cli.main(["synth", "--config", str(config), "--seed", "5",
+                     "--out", str(tmp_path / "cohort")]) == 0
+    out = tmp_path / "re"
+    assert cli.main(["rearrange", "--config", str(config), "--seed", "5", "--manifest",
+                     str(tmp_path / "cohort" / "manifest.csv"), "--out", str(out),
+                     "--window-size", "49", "--report"]) == 0
+    assert {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.rglob("*") if p.is_file()} == PINNED_REARRANGE
+
+
+def test_sidecar_bytes_are_those_of_csv_writer(tmp_path):
+    """A one-window bag and a bag padded from 10 to 12 rows at w=4."""
+    import io
+    from hvtsurv.bagio import PatchBag, read_pbag_arrays, write_manifest, write_patch_bag
+    (tmp_path / "bags").mkdir()
+    rows = []
+    for pid, cells in (("A", [(3, 1), (1, 1), (2, 2), (5, 4)]),
+                       ("B", [(x, y) for x in range(5) for y in (0, 2)])):
+        bag = PatchBag(f"{pid}-W0", np.array(cells) * 256, np.ones((len(cells), 2)))
+        write_patch_bag(bag, tmp_path / "bags" / f"{bag.wsi_id}.pbag")
+        rows.append(dict(patient_id=pid, wsi_path=f"bags/{bag.wsi_id}.pbag",
+                         time_months=1.0, censored=0))
+    write_manifest(tmp_path / "manifest.csv", rows)
+    out = tmp_path / "re"
+    assert cli.main(["rearrange", "--manifest", str(tmp_path / "manifest.csv"),
+                     "--out", str(out), "--window-size", "4"]) == 0
+    for wsi, n_rows in (("A-W0", 4), ("B-W0", 12)):
+        coords, _ = read_pbag_arrays(out / "rearranged" / f"{wsi}.pbag")
+        assert len(coords) == n_rows
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["row_index", "window_index", "gx", "gy"])
+        writer.writerows([i, i // 4, int(gx), int(gy)] for i, (gx, gy) in enumerate(coords))
+        got = (out / "rearranged" / f"{wsi}.windows.csv").read_bytes()
+        assert got == want.getvalue().encode() and got.count(b"\r\n") == n_rows + 1
+
+
 @pytest.fixture(scope="module")
 def trained(cohort, tmp_path_factory):
     out = tmp_path_factory.mktemp("train")
@@ -385,6 +446,92 @@ class TestTrainEvalAttn:
             assert cli.main(["train", "--manifest", str(manifest),
                              "--out", str(tmp_path / "t"), *FAST_FLAGS]) == 1
         assert any("no rows" in r.getMessage() for r in caplog.records)
+
+
+class TestCheckpointCohort:
+    """A checkpoint names the cohort it was trained on, so that a test fold
+    cannot take in patients that its model trained or validated on."""
+
+    def test_eval_rejects_a_regrown_cohort(self, tmp_path, caplog):
+        # the first 12 patients of the 16-patient cohort are the old 12, so
+        # each fold's test set would now hold patients its model trained on
+        data, train = tmp_path / "data", tmp_path / "train"
+        assert cli.main(synth_args(data, n=12, seed=1)) == 0
+        assert cli.main(["train", "--manifest", str(data / "manifest.csv"), "--out", str(train),
+                         "--folds", "2", "--epochs", "1", "--seed", "1", *FAST_FLAGS]) == 0
+        assert cli.main(synth_args(data, n=16, seed=1, extra=["--force"])) == 0
+        caplog.clear()
+        assert cli.main(["eval", "--manifest", str(data / "manifest.csv"),
+                         "--checkpoints", str(train), "--out", str(tmp_path / "ev"),
+                         "--seed", "1"]) == 1
+        assert any("trained on cohort" in r.getMessage() for r in caplog.records)
+        assert cli.main(["attn", "--manifest", str(data / "manifest.csv"), "--checkpoint",
+                         str(train / "fold0.ckpt"), "--patient", "P0000",
+                         "--out", str(tmp_path / "at"), "--seed", "1"]) == 1
+
+    def test_fingerprint_names_both_cohorts(self, cohort, trained, tmp_path):
+        from hvtsurv.bagio import load_manifest, write_manifest
+        from hvtsurv.survmodel import load_checkpoint
+        stored = load_checkpoint(trained / "fold0.ckpt")[2]["cohort_sha256"]
+        assert stored == cli._cohort_fingerprint(load_manifest(cohort / "manifest.csv"))
+        # one follow-up changed, the slides kept
+        rows = read_csv(cohort / "manifest.csv")
+        rows[0]["time_months"] = str(float(rows[0]["time_months"]) + 1.0)
+        for row in rows:
+            row["wsi_path"] = str(cohort / row["wsi_path"])
+        manifest = tmp_path / "changed.csv"
+        write_manifest(manifest, rows)
+        changed = cli._cohort_fingerprint(load_manifest(manifest))
+        rc = cli.build_run_config({}, {"seed": 0})
+        with pytest.raises(FormatError, match=f"trained on cohort {stored}, "
+                                              f"manifest has cohort {changed}"):
+            cli.cmd_eval(rc, str(manifest), str(trained), str(tmp_path / "ev"), force=False)
+        with pytest.raises(FormatError, match=f"cohort {changed}"):
+            cli.cmd_attn(rc, str(manifest), str(trained / "fold0.ckpt"), rows[0]["patient_id"],
+                         str(tmp_path / "at"), force=False)
+
+    def test_eval_rejects_the_same_rows_in_another_order(self, cohort, trained, tmp_path):
+        from hvtsurv.bagio import load_manifest, stratified_kfold, write_manifest
+        from hvtsurv.seeding import derive_seed
+        rows = read_csv(cohort / "manifest.csv")[::-1]
+        for row in rows:
+            row["wsi_path"] = str(cohort / row["wsi_path"])
+        manifest = tmp_path / "reversed.csv"
+        write_manifest(manifest, rows)
+
+        # the same seed deals the reordered patients into other test folds
+        def test_ids(records):
+            splits = stratified_kfold(records, 3, seed=derive_seed(0, "splits"))
+            return [sorted(records[i].patient_id for i in s.test) for s in splits]
+        assert test_ids(load_manifest(manifest)) != \
+            test_ids(load_manifest(cohort / "manifest.csv"))
+        rc = cli.build_run_config({}, {"seed": 0})
+        with pytest.raises(FormatError, match="trained on cohort"):
+            cli.cmd_eval(rc, str(manifest), str(trained), str(tmp_path / "ev"), force=False)
+
+    def test_checkpoint_without_fingerprint_loads_with_warning(self, cohort, trained,
+                                                               tmp_path, caplog):
+        from hvtsurv.survmodel import load_checkpoint, save_checkpoint
+        ckpts = tmp_path / "old"
+        ckpts.mkdir()
+        for path in trained.glob("fold*.ckpt"):
+            params, cfg, extra = load_checkpoint(path)
+            del extra["cohort_sha256"]
+            save_checkpoint(ckpts / path.name, params, cfg, extra)
+            # the key is the only difference from the file train writes
+            line = f"cohort_sha256={load_checkpoint(path)[2]['cohort_sha256']}\n".encode()
+            old, new = (ckpts / path.name).read_bytes(), path.read_bytes()
+            assert new[12:].replace(line, b"", 1) == old[12:] and len(new) == len(old) + len(line)
+        manifest = str(cohort / "manifest.csv")
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="hvtsurv"):
+            assert cli.main(["eval", "--manifest", manifest, "--checkpoints", str(ckpts),
+                             "--out", str(tmp_path / "ev"), "--seed", "0"]) == 0
+        assert any("no cohort fingerprint" in r.getMessage() for r in caplog.records)
+        assert cli.main(["eval", "--manifest", manifest, "--checkpoints", str(trained),
+                         "--out", str(tmp_path / "ev2"), "--seed", "0"]) == 0
+        assert (tmp_path / "ev" / "risks.csv").read_bytes() == \
+            (tmp_path / "ev2" / "risks.csv").read_bytes()
 
 
 @pytest.fixture(scope="module")

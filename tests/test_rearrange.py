@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import hvtsurv
 from hvtsurv.bagio import PatchBag
+from hvtsurv.blocks import pairwise_manhattan
 from hvtsurv.errors import ConfigurationError
 from hvtsurv.rearrange import (
     RearrangedBag,
@@ -355,6 +356,28 @@ class TestWindowMeanManhattan:
             cells = sorted(gen_irregular_mask(side, side, 0.2, trial + 50))[:n]
             bag = knn_rearrange(grid_bag(cells, seed=trial), int(rng.integers(2, 8)))
             assert np.isclose(window_mean_manhattan(bag), brute_window_mean(bag))
+
+    @pytest.mark.parametrize("w", [1, 2, 49])
+    def test_equals_the_pairwise_formula_exactly(self, w):
+        def pairwise_mean(bag):
+            """The (nW, w, w) distance-matrix form that the sorted-rank sum replaced."""
+            windows = bag.scaled_coords.reshape(bag.n_windows, bag.window_size, 2)
+            return pairwise_manhattan(windows).sum() / 2.0 / bag.n_windows
+
+        # padded bags repeat coordinates inside windows: edge-replicated for
+        # n=1, reflected otherwise
+        bags = [knn_rearrange(irregular_bag(n, 0.3, n, True), w) for n in (1, w + 1, 600)]
+        bags += [raster_order(irregular_bag(7 * w - 3, 0.3, 4, False), w)]
+        assert w == 1 or any(len(np.unique(b.scaled_coords, axis=0)) < len(b.scaled_coords)
+                             for b in bags)
+        rng = np.random.default_rng(w)
+        for high in (3, 1000, 10**6):   # few distinct values, and far apart ones
+            rows = int(rng.integers(1, 40)) * w
+            coords = rng.integers(1, high + 1, size=(rows, 2))
+            bags.append(RearrangedBag("r", np.zeros((rows, 1)), coords,
+                                      np.arange(rows), w))
+        for bag in bags:
+            assert window_mean_manhattan(bag) == pairwise_mean(bag)
 
 
 def test_benchmark_knn_beats_raster_on_irregular_masks():
