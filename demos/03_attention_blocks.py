@@ -72,8 +72,8 @@ print("pooling weights:", np.round(weights, 3), "sum", weights.sum(), "\n")
 # finite-difference check of the whole block (weights, input and bias
 # table); the weights are scaled up so the attention is far from uniform
 # and every gradient element sits well above the finite-difference noise
-# floor. The backward returns the input gradient and adds every weight
-# and bias-table gradient to the store itself.
+# floor. The backward returns the input gradient and every weight and
+# bias-table gradient by name; the caller adds them to the store.
 for name in ("wq", "wk", "wv", "wo", "ffn_w1", "ffn_w2"):
     local[f"local.{name}"] *= 10.0
 store = ParamStore({**local, "local.bias_table": table * 50.0, "x": x})
@@ -85,6 +85,8 @@ def loss(ps):
 
 
 _, st = window_attention(store["x"], store, "local", 2, 4, idx, return_state=True)
-store.add_grad("x", window_attention_backward(probe, st, store, "local"))
+gx, grads = window_attention_backward(probe, st, store, "local")
+store.add_grads(grads)
+store.add_grad("x", gx)
 err = finite_diff_check(loss, store, eps=1e-5)
 print(f"window block gradient vs finite differences: max rel err {err:.2e}")

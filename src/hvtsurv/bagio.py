@@ -226,11 +226,20 @@ def write_manifest(path, rows: list[dict]) -> None:
     write_csv(path, MANIFEST_COLUMNS, ([row[k] for k in MANIFEST_COLUMNS] for row in rows))
 
 
-def load_manifest(path) -> list[PatientRecord]:
-    """Load a manifest CSV and its referenced PBAG files into patient records.
+class ManifestPatient(NamedTuple):
+    """One patient's manifest rows: the follow-up and the bag paths, in row
+    order, resolved against the manifest's directory."""
 
-    Rows sharing a patient_id are grouped under one record; the follow-up
-    label must be identical across a patient's rows.
+    patient_id: str
+    follow_up: FollowUp
+    bag_paths: list[Path]
+
+
+def read_manifest(path) -> list[ManifestPatient]:
+    """A manifest CSV's rows grouped by patient_id, in the order patients
+    first appear; no PBAG file is read.
+
+    The follow-up label must be identical across a patient's rows.
     """
     path = Path(path)
     base = path.parent
@@ -246,7 +255,7 @@ def load_manifest(path) -> list[PatientRecord]:
         raise ValidationError(f"{path}: manifest has no rows")
 
     seen: set[tuple[str, str]] = set()
-    grouped: dict[str, dict] = {}
+    grouped: dict[str, ManifestPatient] = {}
     for i, row in enumerate(rows):
         pid = row["patient_id"].strip()
         wsi_path = row["wsi_path"].strip()
@@ -263,23 +272,28 @@ def load_manifest(path) -> list[PatientRecord]:
             raise ValidationError(f"{path}: row {i + 1}: {exc}") from exc
         follow_up = FollowUp(time_months=time_months, censored=censored)
 
-        bag_path = Path(wsi_path)
-        if not bag_path.is_absolute():
-            bag_path = base / bag_path
-        if not bag_path.exists():
-            raise ResolutionError(f"{path}: bag file {bag_path} does not exist")
-        bag = read_patch_bag(bag_path)
-
-        entry = grouped.setdefault(pid, {"bags": [], "follow_up": follow_up})
-        prev = entry["follow_up"]
+        entry = grouped.setdefault(pid, ManifestPatient(pid, follow_up, []))
+        prev = entry.follow_up
         if (prev.time_months, prev.censored) != (follow_up.time_months, follow_up.censored):
             raise ValidationError(f"{path}: patient {pid!r} has inconsistent follow-up rows")
-        entry["bags"].append(bag)
+        entry.bag_paths.append(base / wsi_path)   # an absolute wsi_path replaces base
+    return list(grouped.values())
 
-    records = [
-        PatientRecord(patient_id=pid, bags=entry["bags"], follow_up=entry["follow_up"])
-        for pid, entry in grouped.items()
-    ]
+
+def load_patient(entry: ManifestPatient) -> PatientRecord:
+    """The patient's record, with its PBAG files read in row order."""
+    for bag_path in entry.bag_paths:
+        if not bag_path.exists():
+            raise ResolutionError(f"patient {entry.patient_id!r}: bag file {bag_path} "
+                                  "does not exist")
+    return PatientRecord(patient_id=entry.patient_id, follow_up=entry.follow_up,
+                         bags=[read_patch_bag(p) for p in entry.bag_paths])
+
+
+def load_manifest(path) -> list[PatientRecord]:
+    """Load a manifest CSV (see read_manifest) and every PBAG file it
+    references into patient records, in the order patients first appear."""
+    records = [load_patient(entry) for entry in read_manifest(path)]
     dims = {bag.feature_dim for rec in records for bag in rec.bags}
     if len(dims) > 1:
         raise ValidationError(f"{path}: mixed feature dimensions in cohort: {sorted(dims)}")

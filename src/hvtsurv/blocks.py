@@ -10,8 +10,11 @@
 The kernels read their weights from a ParamStore by name: a block's
 under ``{prefix}.``, as block_layout declares them, and the pooling
 weights under ``pool.``. Forward functions optionally return a state
-object which the matching ``*_backward`` consumes; the backward adds
-every parameter gradient to the store and returns the input gradient.
+object which the matching ``*_backward`` consumes. The pooling backward
+adds its parameter gradients to the store and returns the input
+gradient; the window-attention backward writes nothing to the store and
+returns the input gradient with the parameter gradients, so chunks of
+rows can run it on threads while one caller adds their gradients up.
 """
 
 from __future__ import annotations
@@ -183,7 +186,10 @@ def window_attention(x: np.ndarray, params: ParamStore, prefix: str, heads: int,
     u2, ln2_state = layer_norm(y, p("ln2_gamma"), p("ln2_beta"))
     h1 = linear(u2, p("ffn_w1"), p("ffn_b1"))
     del u2
-    out = linear(gelu(h1), p("ffn_w2"), p("ffn_b2"))
+    # with no state kept, nothing reads h1 again: gelu overwrites it
+    a1 = gelu(h1, out=None if return_state else h1)
+    out = linear(a1, p("ffn_w2"), p("ffn_b2"))
+    del a1
     out += y
 
     if not return_state:
@@ -197,18 +203,21 @@ def window_attention(x: np.ndarray, params: ParamStore, prefix: str, heads: int,
 
 
 def window_attention_backward(grad: np.ndarray, state: dict, params: ParamStore, prefix: str):
-    """Gradient of window_attention w.r.t. x; adds the gradient of every
-    ``{prefix}.*`` tensor the forward read, bias table included, to params.
+    """Gradient of window_attention, as (gradient w.r.t. x, {name: gradient})
+    with one entry for every ``{prefix}.*`` tensor the forward read, bias
+    table included, keyed by its full store name.
 
-    Each stored activation is popped from ``state`` once used, so the
-    state is spent afterwards.
+    It only reads params, so chunks of rows can run it concurrently; the
+    caller adds the gradients to the store. Each stored activation is
+    popped from ``state`` once used, so the state is spent afterwards.
     """
     def p(name):
         return params[f"{prefix}.{name}"]
 
-    def add(**grads):
-        for name, g in grads.items():
-            params.add_grad(f"{prefix}.{name}", g)
+    grads = {}
+
+    def add(**named):
+        grads.update((f"{prefix}.{name}", g) for name, g in named.items())
 
     # The MLP's (N, ffn_ratio*d) arrays set the step's peak memory: h1 turns
     # into gelu(h1) and then into its own gradient, and its cdf into the slope.
@@ -253,7 +262,7 @@ def window_attention_backward(grad: np.ndarray, state: dict, params: ParamStore,
     gx, g_gamma, g_beta = layer_norm_backward(gu, ln1_state, p("ln1_gamma"))
     add(ln1_gamma=g_gamma, ln1_beta=g_beta)
     gx += gy
-    return gx
+    return gx, grads
 
 
 def spatial_shuffle(length: int, w: int) -> np.ndarray:

@@ -31,6 +31,8 @@ from .bagio import (
     atomic_open,
     bin_survival_times,
     load_manifest,
+    load_patient,
+    read_manifest,
     stratified_kfold,
     write_csv,
     write_int_csv,
@@ -171,7 +173,8 @@ def _write_produced(out_dir: Path, command: str, paths: list[Path]) -> None:
 
 def _cohort_fingerprint(records) -> str:
     """sha256 over the (patient_id, time_months, censored) rows in record
-    order: the folds that stratified_kfold deals depend on that order too."""
+    order: the folds that stratified_kfold deals depend on that order too.
+    Records are PatientRecords or read_manifest's entries, which agree."""
     rows = ((r.patient_id, r.follow_up.time_months, r.follow_up.censored) for r in records)
     return hashlib.sha256("".join(f"{p},{t!r},{c}\n" for p, t, c in rows).encode()).hexdigest()
 
@@ -378,18 +381,19 @@ def cmd_eval(rc: RunConfig, manifest: str, checkpoint_dir: str, out: str,
 
 def cmd_attn(rc: RunConfig, manifest: str, checkpoint: str, patient_id: str,
              out: str, force: bool) -> dict:
-    """Export per-layer attention scores for one patient."""
+    """Export per-layer attention scores for one patient; of the cohort's
+    PBAG files, only that patient's are read."""
     _require_path(manifest, "manifest")
     _require_path(checkpoint, "checkpoint")
     out_dir = _prepare_out(out, force, f"attention_{patient_id}.csv")
-    records = load_manifest(manifest)
-    by_id = {r.patient_id: r for r in records}
-    if patient_id not in by_id:
+    cohort = read_manifest(manifest)
+    entry = next((e for e in cohort if e.patient_id == patient_id), None)
+    if entry is None:
         raise ValidationError(f"unknown patient {patient_id!r}")
+    rec = load_patient(entry)
     params, cfg, extra = load_checkpoint(checkpoint)
-    _check_cohort(checkpoint, extra.get("cohort_sha256"), records)
+    _check_cohort(checkpoint, extra.get("cohort_sha256"), cohort)
 
-    rec = by_id[patient_id]
     subs = preprocess_patient(rec, cfg, EVAL_MASK_SEED)
     _, state = forward(subs, params, cfg, want_attention=True)
     layers = export_attention(subs, state, drop_fraction=rc.drop_fraction)

@@ -53,8 +53,10 @@ class ParamStore:
     place keep every view valid. Both buffers take the floating dtype the
     arrays promote to: float64 for freshly drawn tensors, float32 for the
     tensors ``fit`` trains and those of a checkpoint. Gradient
-    accumulation is single-writer; do not share one store across
-    concurrent backwards.
+    accumulation is single-writer: reading parameters from several
+    threads is safe, but only one thread may add gradients. Concurrent
+    backwards (an attention layer's chunk workers) hand their gradients
+    back to that thread instead.
     """
 
     def __init__(self, arrays: dict):
@@ -85,6 +87,11 @@ class ParamStore:
         view = self.grad(name)
         view += g
 
+    def add_grads(self, grads: dict) -> None:
+        """add_grad of every name -> gradient item, in the dict's order."""
+        for name, g in grads.items():
+            self.add_grad(name, g)
+
     def zero_grads(self) -> None:
         self.grad_flat.fill(0.0)
 
@@ -98,7 +105,9 @@ def linear(x: DenseMatrix, weight: DenseMatrix, bias: np.ndarray) -> DenseMatrix
     """x @ weight + broadcast bias row."""
     if x.shape[-1] != weight.shape[0] or weight.shape[1] != bias.shape[-1]:
         raise ShapeError(f"linear {x.shape} x {weight.shape} + {bias.shape}")
-    return x @ weight + bias
+    out = x @ weight
+    out += bias
+    return out
 
 
 def linear_backward(grad: DenseMatrix, x: DenseMatrix, weight: DenseMatrix):
@@ -184,10 +193,17 @@ def normal_cdf(x: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """x * normal_cdf(x), which rounds as 0.5 * x * (1 + erf) does: halving is exact."""
-    out = normal_cdf(x)
-    out *= x
+def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x * normal_cdf(x), which rounds as 0.5 * x * (1 + erf) does: halving is
+    exact. Computed block by block, as erf is, into ``out`` when given (x
+    itself included) and else into a fresh array; ``out`` must be contiguous.
+    """
+    if out is None:
+        out = np.empty(x.shape, x.dtype)
+    xf, res = x.reshape(-1), np.reshape(out, -1, copy=False)
+    for start in range(0, xf.size, _ERF32_BLOCK):
+        span = slice(start, start + _ERF32_BLOCK)
+        np.multiply(normal_cdf(xf[span]), xf[span], out=res[span])
     return out
 
 

@@ -14,9 +14,14 @@ live here too.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import logging
+import os
 import struct
+from collections import deque
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -202,6 +207,57 @@ def survival_from_hazards(hazards: np.ndarray) -> np.ndarray:
 FORWARD_CHUNK_ROWS = 1024
 
 
+@functools.cache
+def _openblas_thread_getter():
+    """numpy's bundled OpenBLAS thread-count getter, or None where numpy
+    bundles no OpenBLAS that exports one."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            getter = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        return getter
+    return None
+
+
+def chunk_workers(n_chunks: int) -> int:
+    """Threads to run an attention layer's n_chunks chunks on: the CPUs
+    this process may use divided by OpenBLAS's live thread count, at most
+    one per chunk.
+
+    1, a serial run, when the layer has one chunk, the division gives 1
+    or less, or the BLAS thread count cannot be read. Outputs do not
+    depend on it: each chunk computes the same products on any thread,
+    and the caller takes the results in chunk order.
+    """
+    getter = _openblas_thread_getter() if n_chunks > 1 else None
+    blas = getter() if getter else 0
+    if blas < 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(n_chunks, (cpus or 1) // blas))
+
+
+def _in_chunk_order(fn, items: list, workers: int):
+    """Yield fn(item) for each item, in order: on the calling thread when
+    ``workers`` is 1, else on that many threads, with at most ``workers``
+    calls started and not yet consumed, so finished results do not pile up.
+    """
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor   # its import costs ~10 ms
+
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque(pool.submit(fn, item) for item in items[:workers])
+        for item in items[workers:]:
+            yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+
+
 def _stacked_features(sub_bags: list[SubWsiBag], dtype) -> np.ndarray:
     """The sub-bags' feature rows stacked in order, in the model's dtype."""
     return np.concatenate([sub.features for sub in sub_bags], dtype=dtype)
@@ -220,6 +276,9 @@ def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
     FORWARD_CHUNK_ROWS rows each, which gives the output of one pass over
     all rows bit for bit: windows are independent, and a row split of a
     product leaves its elements unchanged on the BLAS kernels tested.
+    The chunks of a layer run on chunk_workers threads, each writing its
+    output over its own input rows; the result does not depend on the
+    thread count.
 
     Returns a HazardOutput, or (HazardOutput, state) when either flag is
     set. ``state`` holds the stacked shuffle ``perm``, ``pool``, attn_pool's
@@ -235,29 +294,35 @@ def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
         raise ValidationError("sub-WSI row count is not a multiple of the window size")
     step = max(1, FORWARD_CHUNK_ROWS // w) * w
     chunks = [slice(start, start + step) for start in range(0, sum(lengths), step)]
+    workers = chunk_workers(len(chunks))
+    keep = return_state or want_attention
 
     def layer(h, prefix, idx=None):
-        """One attention block on the stacked rows by chunks, and what to keep of each."""
-        out, kept = np.empty_like(h), []
-        for rows in chunks:
+        """One attention block on the stacked rows by chunks, each chunk's output
+        written over its input rows in h; returns what to keep of each chunk."""
+        def run(rows):
             chunk_idx = None if idx is None else idx[rows.start // w : rows.stop // w]
-            if return_state or want_attention:
-                out[rows], chunk_state = window_attention(h[rows], params, prefix, heads, w,
-                                                          chunk_idx, return_state=True)
-                kept.append(chunk_state if return_state else chunk_state["attn"])
-            else:
-                out[rows] = window_attention(h[rows], params, prefix, heads, w, chunk_idx)
-        return out, kept
+            if not keep:
+                return window_attention(h[rows], params, prefix, heads, w, chunk_idx), None
+            out, chunk_state = window_attention(h[rows], params, prefix, heads, w, chunk_idx,
+                                                return_state=True)
+            return out, chunk_state if return_state else chunk_state["attn"]
+
+        kept = []
+        for rows, (out, chunk_kept) in zip(chunks, _in_chunk_order(run, chunks, workers)):
+            h[rows] = out
+            kept.append(chunk_kept)
+        return kept
 
     x = _stacked_features(sub_bags, params.flat.dtype)
     h = linear(x, params["reduce.weight"], params["reduce.bias"])
     del x   # the backward stacks the features again
     coords = np.concatenate([sub.scaled_coords for sub in sub_bags]).reshape(-1, w, 2)
-    h, local = layer(h, "local", manhattan_bucket_index(coords, cfg.bucket))
+    local = layer(h, "local", manhattan_bucket_index(coords, cfg.bucket))
     perm = block_shuffle(lengths, w)
     inv = inverse_permutation(perm)
     h = h[perm]   # the unpermuted rows go before the layer runs
-    h, shuffle = layer(h, "shuffle")
+    shuffle = layer(h, "shuffle")
     pooled, _, pool_state = attn_pool(h[inv], params, return_state=True)
     logits = pooled @ params["head.weight"] + params["head.bias"]
     hazards = sigmoid(logits)
@@ -300,8 +365,14 @@ def _nll_grad_logits(hazards: np.ndarray, label: int, censored: int) -> np.ndarr
 
 def loss_and_grads(sub_bags: list[SubWsiBag], label: int, censored: int,
                    params: ParamStore, cfg: HVTSurvConfig) -> float:
-    """Forward plus hand-chained backward, each attention layer one forward chunk at
-    a time, spending its state; accumulates into params' grads."""
+    """Forward plus hand-chained backward; accumulates into params' grads.
+
+    Each attention layer's backward runs by the forward's chunks, on as
+    many threads as the forward's, spending each chunk's state. A chunk's
+    input gradient is written over its output gradient's rows, and its
+    weight gradients are added to params on this thread in chunk order,
+    so every sum rounds as in a serial pass.
+    """
     out, state = forward(sub_bags, params, cfg, return_state=True)
     loss = nll_loss(out, label, censored)
     d_logits = _nll_grad_logits(out.hazards, label, censored)
@@ -309,10 +380,19 @@ def loss_and_grads(sub_bags: list[SubWsiBag], label: int, censored: int,
     params.add_grad("head.weight", np.outer(state["pooled"], d_logits))
     params.add_grad("head.bias", d_logits)
     g = attn_pool_backward(params["head.weight"] @ d_logits, state.pop("pool"), params)
+    chunks = state["chunks"]
+    workers = chunk_workers(len(chunks))
     for prefix, order in (("shuffle", state["perm"]), ("local", state["inv"])):
         g = g[order]
-        for rows, chunk_state in zip(state["chunks"], state.pop(prefix)):
-            g[rows] = window_attention_backward(g[rows], chunk_state, params, prefix)
+
+        def run(item, g=g, prefix=prefix):
+            rows, chunk_state = item
+            return window_attention_backward(g[rows], chunk_state, params, prefix)
+
+        results = _in_chunk_order(run, list(zip(chunks, state.pop(prefix))), workers)
+        for rows, (g_rows, grads) in zip(chunks, results):
+            g[rows] = g_rows
+            params.add_grads(grads)
     # weight and bias gradients only: nothing reads the reduce layer's input gradient
     params.add_grad("reduce.weight", _stacked_features(sub_bags, params.flat.dtype).T @ g)
     params.add_grad("reduce.bias", g.sum(axis=0))

@@ -195,10 +195,12 @@ def block_fd_error(w=4, d=8, heads=2, seed=0, with_bias=True, shuffle_len=None):
 
     if shuffle_len:
         _, st = window_attention(store["x"][perm], store, "blk", heads, w, return_state=True)
-        gx = window_attention_backward(probe[perm], st, store, "blk")[inv]
+        gx, grads = window_attention_backward(probe[perm], st, store, "blk")
+        gx = gx[inv]
     else:
         _, st = window_attention(store["x"], store, "blk", heads, w, idx, return_state=True)
-        gx = window_attention_backward(probe, st, store, "blk")
+        gx, grads = window_attention_backward(probe, st, store, "blk")
+    store.add_grads(grads)
     store.add_grad("x", gx)
     return finite_diff_check(f, store, eps=1e-5)
 
@@ -251,7 +253,9 @@ def single_window_calls(x, store, heads, w, idx, probe):
         i = None if idx is None else idx[k : k + 1]
         out, st = window_attention(x[sl], store, "blk", heads, w, i, return_state=True)
         outs.append(out)
-        gxs.append(window_attention_backward(probe[sl], st, store, "blk"))
+        gx, grads = window_attention_backward(probe[sl], st, store, "blk")
+        store.add_grads(grads)
+        gxs.append(gx)
     return np.vstack(outs), np.vstack(gxs)
 
 
@@ -275,7 +279,8 @@ def test_batched_kernel_equals_single_window_calls(n_windows, w, heads, d_head,
     store_1 = store.copy()
 
     out, st = window_attention(x, store, "blk", heads, w, idx, return_state=True)
-    gx = window_attention_backward(probe, st, store, "blk")
+    gx, grads = window_attention_backward(probe, st, store, "blk")
+    store.add_grads(grads)
     out_1, gx_1 = single_window_calls(x, store_1, heads, w, idx, probe)
     assert np.max(np.abs(out - out_1)) <= 1e-12
     assert np.max(np.abs(gx - gx_1)) <= 1e-12

@@ -405,6 +405,23 @@ class TestTrainEvalAttn:
             assert result.returncode == 0, result.stderr
             assert result.stdout.strip().splitlines()[-1] == "[]", argv[0]
 
+    def test_cli_import_and_untrained_run_load_no_thread_pool(self, cohort, tmp_path):
+        """concurrent.futures is imported only by a layer that runs chunk
+        workers, so CLI start-up and ``train --epochs 0`` do without it."""
+        src = str(Path(hvtsurv.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        probe = ("import sys; from hvtsurv import cli; "
+                 "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+                 "print('concurrent.futures' in sys.modules); sys.exit(code)")
+        train = ["train", "--manifest", str(cohort / "manifest.csv"), "--out",
+                 str(tmp_path / "train"), "--folds", "2", "--epochs", "0", *FAST_FLAGS]
+        for argv in ([], train):
+            result = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                                    capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.strip().splitlines()[-1] == "False", argv
+
     def test_train_logs_each_fold(self, cohort, tmp_path, caplog):
         args = ["train", "--manifest", str(cohort / "manifest.csv"),
                 "--out", str(tmp_path / "folds"), "--folds", "3", "--epochs", "1",
@@ -438,6 +455,54 @@ class TestTrainEvalAttn:
                              "--patient", pid, "--out", str(out)]) == 0
         assert (out / "attn_files.txt").read_text().split() == [
             "attention_P0000.csv", "attention_P0002.csv"]
+
+    def test_attn_reads_only_its_patients_bags(self, cohort, trained, tmp_path, monkeypatch):
+        from hvtsurv import bagio
+        from hvtsurv.survmodel import (EVAL_MASK_SEED, export_attention, forward,
+                                       load_checkpoint, preprocess_patient)
+        rec = next(r for r in bagio.load_manifest(cohort / "manifest.csv") if len(r.bags) == 2)
+        # the file the whole-cohort load wrote, before attn read one patient alone
+        params, cfg, _ = load_checkpoint(trained / "fold0.ckpt")
+        subs = preprocess_patient(rec, cfg, EVAL_MASK_SEED)
+        layers = export_attention(subs, forward(subs, params, cfg, want_attention=True)[1])
+        want = tmp_path / "want.csv"
+        bagio.write_csv(want, ["layer", "wsi_id", "patch_index", "gx", "gy", "score"],
+                        ([layer, r["wsi_id"], r["patch_index"], r["gx"], r["gy"],
+                          f"{r['score']:.6f}"] for layer, rows in layers.items() for r in rows))
+        read, real_read = [], bagio.read_patch_bag
+
+        def counting_read(path):
+            read.append(Path(path).stem)
+            return real_read(path)
+
+        monkeypatch.setattr(bagio, "read_patch_bag", counting_read)
+        assert cli.main(["attn", "--manifest", str(cohort / "manifest.csv"),
+                         "--checkpoint", str(trained / "fold0.ckpt"),
+                         "--patient", rec.patient_id, "--out", str(tmp_path / "a")]) == 0
+        assert read == [bag.wsi_id for bag in rec.bags]
+        got = tmp_path / "a" / f"attention_{rec.patient_id}.csv"
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_attn_needs_only_its_patients_bags(self, cohort, trained, tmp_path, caplog):
+        rows = read_csv(cohort / "manifest.csv")
+        for row in rows:
+            row["wsi_path"] = str(cohort / row["wsi_path"])
+        patient, other = rows[0]["patient_id"], rows[-1]["patient_id"]
+        assert patient != other
+        from hvtsurv.bagio import write_manifest
+
+        def attn(missing_for, out):
+            edited = [dict(row, wsi_path=row["wsi_path"] + ".gone")
+                      if row["patient_id"] == missing_for else row for row in rows]
+            write_manifest(tmp_path / "manifest.csv", edited)
+            return cli.main(["attn", "--manifest", str(tmp_path / "manifest.csv"),
+                             "--checkpoint", str(trained / "fold0.ckpt"),
+                             "--patient", patient, "--out", str(tmp_path / out)])
+
+        assert attn(other, "a") == 0
+        with caplog.at_level(logging.ERROR, logger="hvtsurv"):
+            assert attn(patient, "b") == 1
+        assert "does not exist" in caplog.text
 
     def test_train_on_empty_manifest_exits_1(self, tmp_path, caplog):
         manifest = tmp_path / "manifest.csv"

@@ -1,5 +1,6 @@
 import csv
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -221,7 +222,8 @@ class TestFullModelGradient:
         def recording(kernel):
             def wrapped(grad, *args, **kwargs):
                 out = kernel(grad, *args, **kwargs)
-                seen.append((kernel.__name__, grad.dtype, out.dtype))
+                g_in = out[0] if isinstance(out, tuple) else out
+                seen.append((kernel.__name__, grad.dtype, g_in.dtype))
                 return out
             return wrapped
 
@@ -420,8 +422,10 @@ def per_sub_bag_loss_and_grads(subs, label, censored, params, cfg):
     for x, perm, local, shuffle in states:
         g = g_cat[offset : offset + x.shape[0]]
         offset += x.shape[0]
-        g = window_attention_backward(g[perm], shuffle, params, "shuffle")
-        g = window_attention_backward(g[inverse_permutation(perm)], local, params, "local")
+        for prefix, order, layer_state in (("shuffle", perm, shuffle),
+                                           ("local", inverse_permutation(perm), local)):
+            g, grads = window_attention_backward(g[order], layer_state, params, prefix)
+            params.add_grads(grads)
         _, g_w, g_b = linear_backward(g, x, params["reduce.weight"])
         params.add_grad("reduce.weight", g_w)
         params.add_grad("reduce.bias", g_b)
@@ -504,8 +508,9 @@ def whole_pass_loss_and_grads(subs, label, censored, params, cfg):
     params.add_grad("head.weight", np.outer(state["pooled"], d_logits))
     params.add_grad("head.bias", d_logits)
     g = attn_pool_backward(params["head.weight"] @ d_logits, state["pool"], params)
-    g = window_attention_backward(g[state["perm"]], state["shuffle"], params, "shuffle")
-    g = window_attention_backward(g[state["inv"]], state["local"], params, "local")
+    for prefix, order in (("shuffle", state["perm"]), ("local", state["inv"])):
+        g, grads = window_attention_backward(g[order], state[prefix], params, prefix)
+        params.add_grads(grads)
     params.add_grad("reduce.weight", state["x"].T @ g)
     params.add_grad("reduce.bias", g.sum(axis=0))
     return loss
@@ -517,6 +522,107 @@ MULTI_CHUNK = (1600, 1440)
 
 def as_float32(params):
     return ParamStore({k: params[k].astype(np.float32) for k in params.names()})
+
+
+def force_workers(monkeypatch, workers):
+    """Run every attention layer of more than one chunk on ``workers`` threads."""
+    from hvtsurv import survmodel
+    monkeypatch.setattr(survmodel, "chunk_workers", lambda n_chunks: min(workers, n_chunks))
+
+
+def every_output(subs, params, cfg):
+    """The hazards of forward's three modes, every array of their states, the
+    loss and the gradients of two steps: what a worker count must not change."""
+    outputs = [forward(subs, params, cfg).hazards]
+    for mode in ("want_attention", "return_state"):
+        out, state = forward(subs, params, cfg, **{mode: True})
+        outputs.append(out.hazards)
+        stack = [state]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, dict):
+                stack.extend(item.values())
+            elif isinstance(item, (tuple, list)):
+                stack.extend(item)
+            elif isinstance(item, np.ndarray):
+                outputs.append(item)
+    params = params.copy()
+    for label, censored in ((1, 0), (2, 1)):
+        outputs.append(loss_and_grads(subs, label, censored, params, cfg))
+        outputs.append(params.grad_flat.copy())
+    return outputs
+
+
+class TestChunkWorkers:
+    """Chunks of one attention layer run on the cores BLAS leaves idle, with
+    results that do not depend on how many threads ran them."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_parallel_chunks_equal_serial_bit_for_bit(self, dtype, monkeypatch):
+        # MULTI_CHUNK's chunk edges fall inside its sub-bags
+        subs = grid_sub_bags(MULTI_CHUNK, CHUNK_CFG)
+        params = init_params(CHUNK_CFG, seed=3, scale=0.25)
+        if dtype == np.float32:
+            params = as_float32(params)
+        force_workers(monkeypatch, 1)
+        serial = every_output(subs, params, CHUNK_CFG)
+        assert serial[0].dtype == dtype
+        # more workers than cores, switching threads often: a row written
+        # by the wrong chunk or a gradient added twice or lost shows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (2, 3):
+                force_workers(monkeypatch, workers)
+                parallel = every_output(subs, params, CHUNK_CFG)
+                assert len(parallel) == len(serial)
+                for got, want in zip(parallel, serial):
+                    assert np.array_equal(got, want), workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("blas, cpus, n_chunks, want", [
+        (1, 2, 8, 2),    # one BLAS thread leaves a core idle
+        (1, 4, 3, 3),    # at most one worker per chunk
+        (1, 2, 1, 1),    # one chunk runs serially
+        (2, 2, 8, 1),    # BLAS threads take every CPU
+        (3, 2, 8, 1),
+        (2, 5, 8, 2),
+        (None, 4, 8, 1),  # the BLAS thread count cannot be read
+    ])
+    def test_worker_rule(self, blas, cpus, n_chunks, want, monkeypatch):
+        import os
+
+        from hvtsurv import survmodel
+        monkeypatch.setattr(survmodel, "_openblas_thread_getter",
+                            lambda: None if blas is None else (lambda: blas))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert survmodel.chunk_workers(n_chunks) == want
+
+    def test_reads_numpys_openblas_thread_count(self):
+        from hvtsurv import survmodel
+        getter = survmodel._openblas_thread_getter()
+        if getter is None:
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count getter here")
+        assert getter() >= 1
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        from hvtsurv import survmodel
+        subs = grid_sub_bags(MULTI_CHUNK, CHUNK_CFG)
+        params = init_params(CHUNK_CFG, seed=3)
+        calls = []
+        real = survmodel.window_attention
+
+        def failing_on_second_chunk(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise FloatingPointError("chunk 1")
+            return real(*args, **kwargs)
+
+        force_workers(monkeypatch, 2)
+        monkeypatch.setattr(survmodel, "window_attention", failing_on_second_chunk)
+        with pytest.raises(FloatingPointError, match="chunk 1"):
+            forward(subs, params, CHUNK_CFG)
 
 
 class TestChunkedForward:
@@ -581,6 +687,13 @@ class TestChunkedForward:
         assert np.array_equal(chunked.grad_flat, whole.grad_flat)
 
     def test_forward_only_peak_below_one_mlp_array(self):
+        self.check_forward_only_peak()
+
+    def test_forward_only_peak_below_one_mlp_array_at_2_workers(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        self.check_forward_only_peak()
+
+    def check_forward_only_peak(self):
         subs = grid_sub_bags((4096, 4096), CHUNK_CFG)
         params = init_params(CHUNK_CFG, seed=3)
         forward(subs, params, CHUNK_CFG)   # first-use imports stay out of the trace
@@ -594,8 +707,15 @@ class TestChunkedForward:
         assert peak < n * CHUNK_CFG.ffn_ratio * CHUNK_CFG.model_dim * 8
 
     def test_backward_transients_below_half_an_mlp_array(self, monkeypatch):
+        self.check_backward_transients(monkeypatch)
+
+    def test_backward_transients_below_half_an_mlp_array_at_2_workers(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        self.check_backward_transients(monkeypatch)
+
+    def check_backward_transients(self, monkeypatch):
         # above the state the forward hands it, the backward allocates one
-        # chunk's (rows, ffn_ratio*d) temporaries, not the patient's
+        # chunk's (rows, ffn_ratio*d) temporaries per worker, not the patient's
         from hvtsurv import survmodel
         subs = grid_sub_bags((4096, 4096), CHUNK_CFG)
         params = init_params(CHUNK_CFG, seed=3)
