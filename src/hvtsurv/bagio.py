@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import os
 import struct
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -162,6 +163,34 @@ def write_patch_bag(bag: PatchBag, path) -> None:
     write_pbag_arrays(path, bag.coords, bag.features)
 
 
+PBAG_HEADER_BYTES = 16
+
+
+def _pbag_shape(path, head: bytes, size: int) -> tuple[int, int]:
+    """(b, d) from a PBAG file's first bytes and its size, checking the
+    magic, the version and that the size is the header's layout."""
+    if len(head) < PBAG_HEADER_BYTES:
+        raise FormatError(f"{path}: too short to hold a PBAG header")
+    if head[:4] != PBAG_MAGIC:
+        raise FormatError(f"{path}: bad magic {head[:4]!r}")
+    version, b, d = struct.unpack_from("<III", head, 4)
+    if version != PBAG_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    expected = PBAG_HEADER_BYTES + b * 8 + b * d * 4
+    if size != expected:
+        raise CorruptionError(f"{path}: payload is {size} bytes, expected {expected}")
+    return b, d
+
+
+def read_pbag_shape(path) -> tuple[int, int]:
+    """(b, d) of a PBAG file, checked as read_pbag_arrays checks its layout,
+    from the header and the file size alone."""
+    with open(path, "rb") as fh:
+        head = fh.read(PBAG_HEADER_BYTES)
+        size = os.fstat(fh.fileno()).st_size
+    return _pbag_shape(path, head, size)
+
+
 def read_pbag_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a PBAG file as (coords (b, 2) int32, features (b, d) float32).
 
@@ -170,18 +199,10 @@ def read_pbag_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < 16:
-        raise FormatError(f"{path}: too short to hold a PBAG header")
-    if raw[:4] != PBAG_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    version, b, d = struct.unpack_from("<III", raw, 4)
-    if version != PBAG_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    expected = 16 + b * 8 + b * d * 4
-    if len(raw) != expected:
-        raise CorruptionError(f"{path}: payload is {len(raw)} bytes, expected {expected}")
-    coords = np.frombuffer(raw, dtype="<i4", count=b * 2, offset=16).reshape(b, 2)
-    features = np.frombuffer(raw, dtype="<f4", count=b * d, offset=16 + b * 8).reshape(b, d)
+    b, d = _pbag_shape(path, raw[:PBAG_HEADER_BYTES], len(raw))
+    coords = np.frombuffer(raw, dtype="<i4", count=b * 2, offset=PBAG_HEADER_BYTES).reshape(b, 2)
+    features = np.frombuffer(raw, dtype="<f4", count=b * d,
+                             offset=PBAG_HEADER_BYTES + b * 8).reshape(b, d)
     return coords, features
 
 
@@ -280,24 +301,61 @@ def read_manifest(path) -> list[ManifestPatient]:
     return list(grouped.values())
 
 
-def load_patient(entry: ManifestPatient) -> PatientRecord:
-    """The patient's record, with its PBAG files read in row order."""
+def _require_bags(entry: ManifestPatient) -> None:
     for bag_path in entry.bag_paths:
         if not bag_path.exists():
             raise ResolutionError(f"patient {entry.patient_id!r}: bag file {bag_path} "
                                   "does not exist")
+
+
+def load_patient(entry: ManifestPatient) -> PatientRecord:
+    """The patient's record, with its PBAG files read in row order."""
+    _require_bags(entry)
     return PatientRecord(patient_id=entry.patient_id, follow_up=entry.follow_up,
                          bags=[read_patch_bag(p) for p in entry.bag_paths])
 
 
-def load_manifest(path) -> list[PatientRecord]:
-    """Load a manifest CSV (see read_manifest) and every PBAG file it
-    references into patient records, in the order patients first appear."""
-    records = [load_patient(entry) for entry in read_manifest(path)]
-    dims = {bag.feature_dim for rec in records for bag in rec.bags}
+def check_bag_files(path, entries: list[ManifestPatient]) -> int:
+    """The cohort's feature width, after checking each PBAG file of the
+    entries from its header and size alone: it exists, has the layout and a
+    patch, and all share one width. Raises what load_manifest raises for
+    these, so a command that reads one patient at a time fails on them
+    before writing; faults only the payload shows are load_patient's."""
+    dims = set()
+    for entry in entries:
+        _require_bags(entry)
+        for bag_path in entry.bag_paths:
+            b, d = read_pbag_shape(bag_path)
+            if b == 0:
+                raise EmptyBagError(f"bag {bag_path.stem!r} has no patches")
+            dims.add(d)
     if len(dims) > 1:
         raise ValidationError(f"{path}: mixed feature dimensions in cohort: {sorted(dims)}")
-    return records
+    return dims.pop()
+
+
+class PatientsOnDisk(Sequence):
+    """read_manifest's entries as a sequence of PatientRecords, each read
+    with load_patient when indexed and kept by no one here, so a loop that
+    drops each record before indexing the next holds one patient's slides."""
+
+    def __init__(self, entries: list[ManifestPatient]):
+        self.entries = entries
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, i: int) -> PatientRecord:
+        return load_patient(self.entries[i])
+
+
+def load_manifest(path) -> list[PatientRecord]:
+    """Load a manifest CSV (see read_manifest) and every PBAG file it
+    references into patient records, in the order patients first appear.
+    The files are checked first with check_bag_files."""
+    entries = read_manifest(path)
+    check_bag_files(path, entries)
+    return [load_patient(entry) for entry in entries]
 
 
 def bin_survival_times(records: list[PatientRecord], n: int) -> IntervalScheme:
@@ -337,6 +395,9 @@ def stratified_kfold(
     validation_fraction: float = 0.2,
 ) -> list[FoldSplit]:
     """Censorship-stratified cross-validation splits over patient indices.
+
+    Only each record's ``follow_up`` is read, so read_manifest's entries
+    split as the records loaded from them do.
 
     Each fold uses one of ``folds`` equal chunks as the test set; the
     validation set is a stratified ``validation_fraction`` of the rest

@@ -177,7 +177,11 @@ def window_attention(x: np.ndarray, params: ParamStore, prefix: str, heads: int,
     del u
     scores = qh @ kh.transpose(0, 1, 3, 2)
     if idx is not None:
-        scores += p("bias_table")[idx].transpose(0, 3, 1, 2)
+        # gathered straight into the scores' (nW, heads, w, w) layout: head k
+        # reads the table's column k, at offset k*rows of the transposed table
+        table = p("bias_table").T.ravel()
+        heads_at = np.arange(0, table.size, table.size // heads)[:, None, None]
+        scores += np.take(table, idx[:, None] + heads_at)
     scores *= scale
     attn = softmax_rows(scores)
     y = _rows(attn @ vh) @ p("wo")

@@ -28,8 +28,10 @@ import numpy as np
 
 from . import survstats
 from .bagio import (
+    PatientsOnDisk,
     atomic_open,
     bin_survival_times,
+    check_bag_files,
     load_manifest,
     load_patient,
     read_manifest,
@@ -56,7 +58,7 @@ from .survmodel import (
     preprocess_patient,
     save_checkpoint,
 )
-from .synthgen import SynthConfig, gen_cohort
+from .synthgen import SynthConfig, gen_patients
 
 log = logging.getLogger("hvtsurv")
 
@@ -189,30 +191,34 @@ def _check_cohort(path, stored, records) -> None:
 
 
 def cmd_synth(rc: RunConfig, out: str, force: bool) -> dict:
-    """Generate a cohort and write it in manifest + PBAG form."""
+    """Generate a cohort and write it in manifest + PBAG form, one patient
+    at a time: each patient's slides are written and dropped before the
+    next patient is drawn."""
     out_dir = _prepare_out(out, force, "manifest.csv")
     bag_dir = out_dir / "bags"
     bag_dir.mkdir(exist_ok=True)
-    records = gen_cohort(rc.synth_config())
 
-    produced, rows = [], []
-    for rec in records:
+    produced, rows, censored, patches = [], [], [], 0
+    for rec in gen_patients(rc.synth_config()):
         for bag in rec.bags:
             path = bag_dir / f"{bag.wsi_id}.pbag"
             write_patch_bag(bag, path)
             produced.append(path)
+            patches += bag.n_patches
             rows.append(dict(patient_id=rec.patient_id, wsi_path=f"bags/{bag.wsi_id}.pbag",
                              time_months=rec.follow_up.time_months,
                              censored=rec.follow_up.censored))
+        censored.append(rec.follow_up.censored)
+        del rec, bag   # before the next patient is drawn
     manifest = out_dir / "manifest.csv"
     write_manifest(manifest, rows)
     _write_produced(out_dir, "synth", produced + [manifest])
 
     summary = dict(
-        patients=len(records),
+        patients=len(censored),
         wsis=len(rows),
-        censored_ratio=float(np.mean([r.follow_up.censored for r in records])),
-        mean_patches_per_wsi=sum(b.n_patches for r in records for b in r.bags) / len(rows),
+        censored_ratio=float(np.mean(censored)),
+        mean_patches_per_wsi=patches / len(rows),
     )
     print(f"cohort: {summary['patients']} patients, {summary['wsis']} WSIs, "
           f"censored ratio {summary['censored_ratio']:.3f}, "
@@ -222,29 +228,34 @@ def cmd_synth(rc: RunConfig, out: str, force: bool) -> dict:
 
 def cmd_rearrange(rc: RunConfig, manifest: str, out: str, force: bool,
                   report: bool = False) -> dict:
-    """Rearrange every WSI; write PBAG outputs plus window sidecars."""
+    """Rearrange every WSI; write PBAG outputs plus window sidecars.
+
+    Patients are read one at a time, after every PBAG file's header has
+    been checked, and each one's slides are dropped before the next is read.
+    """
     _require_path(manifest, "manifest")
     out_dir = _prepare_out(out, force, "rearranged")
     re_dir = out_dir / "rearranged"
     re_dir.mkdir(exist_ok=True)
-    records = load_manifest(manifest)
-    bags = [bag for rec in records for bag in rec.bags]
-    w = rc.model_config(input_dim=bags[0].feature_dim).window_size
+    entries = read_manifest(manifest)
+    w = rc.model_config(input_dim=check_bag_files(manifest, entries)).window_size
 
     produced = []
     report_rows = []
-    for bag in bags:
-        reb = knn_rearrange(bag, w)
-        pbag_path = re_dir / f"{bag.wsi_id}.pbag"
-        write_pbag_arrays(pbag_path, reb.scaled_coords, reb.features)
-        sidecar = re_dir / f"{bag.wsi_id}.windows.csv"
-        i = np.arange(reb.features.shape[0])
-        write_int_csv(sidecar, ["row_index", "window_index", "gx", "gy"],
-                      np.column_stack([i, i // reb.window_size, reb.scaled_coords]))
-        produced += [pbag_path, sidecar]
-        if report:
-            report_rows.append(dict(wsi_id=bag.wsi_id, knn_mean=window_mean_manhattan(reb),
-                                    raster_mean=window_mean_manhattan(raster_order(bag, w))))
+    for entry in entries:
+        for bag in load_patient(entry).bags:
+            reb = knn_rearrange(bag, w)
+            pbag_path = re_dir / f"{bag.wsi_id}.pbag"
+            write_pbag_arrays(pbag_path, reb.scaled_coords, reb.features)
+            sidecar = re_dir / f"{bag.wsi_id}.windows.csv"
+            i = np.arange(reb.features.shape[0])
+            write_int_csv(sidecar, ["row_index", "window_index", "gx", "gy"],
+                          np.column_stack([i, i // reb.window_size, reb.scaled_coords]))
+            produced += [pbag_path, sidecar]
+            if report:
+                report_rows.append(dict(wsi_id=bag.wsi_id, knn_mean=window_mean_manhattan(reb),
+                                        raster_mean=window_mean_manhattan(raster_order(bag, w))))
+        del bag, reb   # before the next patient is read
 
     if report:
         report_path = out_dir / "window_distance_report.csv"
@@ -253,8 +264,9 @@ def cmd_rearrange(rc: RunConfig, manifest: str, out: str, force: bool,
                    for r in report_rows))
         produced.append(report_path)
     _write_produced(out_dir, "rearrange", produced)
-    print(f"rearranged {len(bags)} WSIs at window size {w}")
-    return dict(n_wsis=len(bags), report_rows=report_rows)
+    n_wsis = sum(len(entry.bag_paths) for entry in entries)
+    print(f"rearranged {n_wsis} WSIs at window size {w}")
+    return dict(n_wsis=n_wsis, report_rows=report_rows)
 
 
 def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool) -> dict:
@@ -295,13 +307,14 @@ def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool) -> dict:
     return dict(folds=len(splits), histories=histories)
 
 
-def _fold_checkpoints(ckpt_dir: Path, seed: int, records) -> list[tuple]:
+def _fold_checkpoints(ckpt_dir: Path, seed: int, entries, feature_dim: int) -> list[tuple]:
     """(params, config) of each fold*.ckpt file of one training run, in the
     order of the stored fold keys. Each file is read once.
 
     All checkpoints must agree on the fold count, seed, input_dim,
-    window_size, n_intervals and cohort, which must be the records'; their
-    fold keys must be exactly 0..k-1 for k files.
+    window_size, n_intervals and cohort; the cohort must be that of the
+    manifest entries and input_dim their feature width. The fold keys
+    must be exactly 0..k-1 for k files.
     """
     paths = sorted(ckpt_dir.glob("fold*.ckpt"))
     if not paths:
@@ -331,24 +344,29 @@ def _fold_checkpoints(ckpt_dir: Path, seed: int, records) -> list[tuple]:
         raise FormatError(
             f"checkpoint/config mismatch: trained with seed {run['seed']}, "
             f"evaluating with seed {seed}")
-    feature_dim = records[0].bags[0].feature_dim
     if run["input_dim"] != feature_dim:
         raise FormatError(f"{path}: model expects {run['input_dim']}-dim features, "
                           f"cohort has {feature_dim}")
-    _check_cohort(path, run["cohort"], records)
+    _check_cohort(path, run["cohort"], entries)
     return [by_fold[k] for k in range(len(paths))]
 
 
 def cmd_eval(rc: RunConfig, manifest: str, checkpoint_dir: str, out: str,
              force: bool) -> dict:
-    """Out-of-sample risks per fold, pooled stratified KM and log-rank."""
+    """Out-of-sample risks per fold, pooled stratified KM and log-rank.
+
+    Every PBAG file's header is checked first; then each patient is read
+    when predict_risks reaches it and dropped before the next one.
+    """
     _require_path(manifest, "manifest")
     _require_path(checkpoint_dir, "checkpoint directory")
     out_dir = _prepare_out(out, force, "report.csv")
-    records = load_manifest(manifest)
+    entries = read_manifest(manifest)
+    feature_dim = check_bag_files(manifest, entries)
 
-    ckpts = _fold_checkpoints(Path(checkpoint_dir), rc.seed, records)
-    splits = stratified_kfold(records, len(ckpts), seed=derive_seed(rc.seed, "splits"))
+    ckpts = _fold_checkpoints(Path(checkpoint_dir), rc.seed, entries, feature_dim)
+    splits = stratified_kfold(entries, len(ckpts), seed=derive_seed(rc.seed, "splits"))
+    records = PatientsOnDisk(entries)
 
     fold_ci = []
     pooled_low: list = []

@@ -20,6 +20,7 @@ import logging
 import os
 import struct
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -282,9 +283,14 @@ def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
 
     Returns a HazardOutput, or (HazardOutput, state) when either flag is
     set. ``state`` holds the stacked shuffle ``perm``, ``pool``, attn_pool's
-    state, and as ``local`` and ``shuffle`` one entry per chunk: its
-    ``attn`` with ``want_attention`` alone, and with ``return_state`` its
-    whole window_attention state, kept with what the backward pass needs.
+    state, and as ``local`` and ``shuffle`` one entry per chunk. With
+    ``return_state`` the entry is the chunk's whole window_attention state,
+    kept with what the backward pass needs. With ``want_attention`` alone it
+    is the chunk's per-row attention score, the attention averaged over
+    heads and then over queries, one value per row of the chunk (what
+    export_attention reads); the (windows, heads, w, w) attention itself is
+    dropped with the chunk, which keeps an attention export's memory at
+    that of a forward.
     """
     if not sub_bags:
         raise ValidationError("patient has no sub-WSI bags")
@@ -306,7 +312,9 @@ def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
                 return window_attention(h[rows], params, prefix, heads, w, chunk_idx), None
             out, chunk_state = window_attention(h[rows], params, prefix, heads, w, chunk_idx,
                                                 return_state=True)
-            return out, chunk_state if return_state else chunk_state["attn"]
+            if return_state:
+                return out, chunk_state
+            return out, chunk_state["attn"].mean(axis=1).mean(axis=1).ravel()
 
         kept = []
         for rows, (out, chunk_kept) in zip(chunks, _in_chunk_order(run, chunks, workers)):
@@ -512,9 +520,10 @@ def fit(records: list[PatientRecord], train_idx, val_idx, cfg: HVTSurvConfig,
     return best
 
 
-def _evaluate(records: list[PatientRecord], indices, params: ParamStore, cfg: HVTSurvConfig,
+def _evaluate(records: Sequence[PatientRecord], indices, params: ParamStore, cfg: HVTSurvConfig,
               cache: dict | None) -> tuple[list[survstats.RiskPrediction], list[HazardOutput]]:
-    """Risk predictions and forward outputs of records[i], i in indices, under the eval mask."""
+    """Risk predictions and forward outputs of records[i], i in indices, under
+    the eval mask. Each record is indexed once, and dropped before the next."""
     preds, outs = [], []
     for i in indices:
         rec = records[i]
@@ -523,13 +532,20 @@ def _evaluate(records: list[PatientRecord], indices, params: ParamStore, cfg: HV
             patient_id=rec.patient_id, risk=out.risk,
             time_months=rec.follow_up.time_months, censored=rec.follow_up.censored))
         outs.append(out)
+        del rec   # an on-disk record's slides go before the next one is read
     return preds, outs
 
 
-def predict_risks(records: list[PatientRecord], indices, params: ParamStore, cfg: HVTSurvConfig,
-                  cache: dict | None = None) -> list[survstats.RiskPrediction]:
+def predict_risks(records: Sequence[PatientRecord], indices, params: ParamStore,
+                  cfg: HVTSurvConfig, cache: dict | None = None) -> list[survstats.RiskPrediction]:
     """Risks of records[i], i in indices, under the evaluation mask; ``cache``
-    is preprocess_patient's rearranged-bag cache."""
+    is preprocess_patient's rearranged-bag cache.
+
+    ``records`` may be a list or any sequence that builds a record when
+    indexed, such as bagio.PatientsOnDisk: each record is indexed once and
+    dropped before the next, so with no cache such a sequence keeps one
+    patient's slides in memory at a time.
+    """
     return _evaluate(records, indices, params, cfg, cache)[0]
 
 
@@ -538,12 +554,12 @@ def export_attention(sub_bags: list[SubWsiBag], state: dict,
     """Per-layer patch scores ready for heatmap rendering.
 
     ``state`` is what forward(sub_bags, ..., want_attention=True)
-    returned with its output. Window attention is averaged over heads and
-    then over the query axis to score each patch row; per layer, the
-    lowest ``drop_fraction`` of scores are zeroed and the rest min-max
-    rescaled to [0, 1] (a constant score vector rescales to all zeros).
-    Rows follow the stacked order of forward; row j of the shuffle layer
-    is the stacked row perm[j], and is tagged as such.
+    returned with its output: per window-attention layer, each chunk's row
+    scores, its attention averaged over heads and then over the query
+    axis. Per layer, the lowest ``drop_fraction`` of scores are zeroed and
+    the rest min-max rescaled to [0, 1] (a constant score vector rescales
+    to all zeros). Rows follow the stacked order of forward; row j of the
+    shuffle layer is the stacked row perm[j], and is tagged as such.
     """
     if not 0.0 <= drop_fraction < 1.0:
         raise ValidationError(f"drop_fraction must lie in [0, 1), got {drop_fraction}")
@@ -558,15 +574,12 @@ def export_attention(sub_bags: list[SubWsiBag], state: dict,
             return np.zeros_like(scores)
         return (scores - scores.min()) / span
 
-    def window_scores(layer: str) -> np.ndarray:
-        return np.concatenate([attn.mean(axis=1).mean(axis=1).ravel() for attn in state[layer]])
-
     tags = [(sub.source_wsi, row, gx, gy) for sub in sub_bags
             for row, (gx, gy) in zip(sub.source_rows.tolist(), sub.scaled_coords.tolist())]
     as_is = range(len(tags))
     per_layer = {
-        "local": (as_is, window_scores("local")),
-        "shuffle": (state["perm"].tolist(), window_scores("shuffle")),
+        "local": (as_is, np.concatenate(state["local"])),
+        "shuffle": (state["perm"].tolist(), np.concatenate(state["shuffle"])),
         "pool": (as_is, state["pool"]["weights"]),
     }
     layers: dict[str, list[dict]] = {}

@@ -28,7 +28,9 @@ of the config seed.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -204,65 +206,88 @@ def _mask_for_target(cfg: SynthConfig, target: int, seed: int) -> np.ndarray:
     return grid
 
 
-def gen_cohort(cfg: SynthConfig, return_truth: bool = False):
-    """Generate a cohort of patient records with the planted risk signal."""
+class PatientTruth(NamedTuple):
+    """Ground truth behind one generated patient: one entry of each of
+    CohortTruth's per-patient fields."""
+
+    latent_risk: float
+    true_time_months: float
+    signature_fraction: float
+    signature_cells: dict[str, set[tuple[int, int]]]
+
+
+def _signature_direction(cfg: SynthConfig) -> np.ndarray:
     sig_dir = rng_for(cfg.seed, "signature-direction").normal(size=cfg.feature_dim)
-    sig_dir /= np.linalg.norm(sig_dir)
+    return sig_dir / np.linalg.norm(sig_dir)
 
-    records = []
-    risks = np.empty(cfg.n_patients)
-    true_times = np.empty(cfg.n_patients)
-    fractions = np.empty(cfg.n_patients)
-    sig_cells: list[dict[str, set[tuple[int, int]]]] = []
 
+def gen_patients(cfg: SynthConfig, return_truth: bool = False) -> Iterator:
+    """Yield the cohort's patient records one at a time, in patient order,
+    or (record, PatientTruth) pairs with ``return_truth``.
+
+    Each patient draws from its own seeded stream and nothing of it stays
+    behind in the generator, so a consumer that writes and drops each
+    record holds one patient's slides at a time.
+    """
+    sig_dir = _signature_direction(cfg)
     for i in range(cfg.n_patients):
-        pid = f"P{i:04d}"
-        rng = rng_for(cfg.seed, f"patient:{pid}")
-        r = float(rng.uniform())
-        q = SIGNATURE_FRACTION_MAX * (1.0 / (1.0 + np.exp(-(cfg.signal_strength * (r - 0.5)))))
+        yield _gen_patient(cfg, f"P{i:04d}", sig_dir, return_truth)
 
-        n_wsis = int(rng.integers(cfg.wsis_per_patient_range[0], cfg.wsis_per_patient_range[1] + 1))
-        bags = []
-        per_wsi_sig: dict[str, set[tuple[int, int]]] = {}
-        for j in range(n_wsis):
-            wsi_id = f"{pid}-W{j}"
-            target = int(rng.integers(cfg.patches_per_wsi_range[0], cfg.patches_per_wsi_range[1] + 1))
-            grid = _mask_for_target(cfg, target, derive_seed(cfg.seed, f"mask:{wsi_id}"))
-            xs, ys = np.nonzero(grid)   # x-major: the order of sorted (x, y) cells
-            b = len(xs)
 
-            features = rng.normal(size=(b, cfg.feature_dim))
-            n_sig = int(round(q * b))
-            blob = np.zeros_like(grid)
-            if n_sig > 0:
-                k = int(rng.integers(b))
-                blob = _bfs_blob(grid, (xs[k], ys[k]), n_sig)
-                features[blob[xs, ys]] += SIGNATURE_SHIFT * sig_dir
-            features -= features.mean(axis=0)
-            if return_truth:
-                per_wsi_sig[wsi_id] = _cells(blob)
+def _gen_patient(cfg: SynthConfig, pid: str, sig_dir: np.ndarray, return_truth: bool):
+    """One item of gen_patients: patient ``pid``'s record, or (record, truth)."""
+    rng = rng_for(cfg.seed, f"patient:{pid}")
+    r = float(rng.uniform())
+    q = SIGNATURE_FRACTION_MAX * (1.0 / (1.0 + np.exp(-(cfg.signal_strength * (r - 0.5)))))
 
-            coords = np.stack([xs, ys], axis=1).astype(np.int64) * PATCH_PIXELS
-            bags.append(PatchBag(wsi_id=wsi_id, coords=coords, features=features))
+    n_wsis = int(rng.integers(cfg.wsis_per_patient_range[0], cfg.wsis_per_patient_range[1] + 1))
+    bags = []
+    per_wsi_sig: dict[str, set[tuple[int, int]]] = {}
+    for j in range(n_wsis):
+        wsi_id = f"{pid}-W{j}"
+        target = int(rng.integers(cfg.patches_per_wsi_range[0], cfg.patches_per_wsi_range[1] + 1))
+        grid = _mask_for_target(cfg, target, derive_seed(cfg.seed, f"mask:{wsi_id}"))
+        xs, ys = np.nonzero(grid)   # x-major: the order of sorted (x, y) cells
+        b = len(xs)
 
-        rate = np.exp(HAZARD_SLOPE * (r - 0.5)) / TIME_SCALE_MONTHS
-        t_true = float(rng.exponential(1.0 / rate))
-        censored = int(rng.uniform() < cfg.censor_rate)
-        t_obs = t_true * float(rng.uniform()) if censored else t_true
+        features = rng.normal(size=(b, cfg.feature_dim))
+        n_sig = int(round(q * b))
+        blob = np.zeros_like(grid)
+        if n_sig > 0:
+            k = int(rng.integers(b))
+            blob = _bfs_blob(grid, (xs[k], ys[k]), n_sig)
+            features[blob[xs, ys]] += SIGNATURE_SHIFT * sig_dir
+        features -= features.mean(axis=0)
+        if return_truth:
+            per_wsi_sig[wsi_id] = _cells(blob)
 
-        records.append(PatientRecord(pid, bags, FollowUp(t_obs, censored)))
-        risks[i] = r
-        true_times[i] = t_true
-        fractions[i] = q
-        sig_cells.append(per_wsi_sig)
+        coords = np.stack([xs, ys], axis=1).astype(np.int64) * PATCH_PIXELS
+        bags.append(PatchBag(wsi_id=wsi_id, coords=coords, features=features))
 
-    if return_truth:
-        truth = CohortTruth(
-            latent_risk=risks,
-            true_time_months=true_times,
-            signature_fraction=fractions,
-            signature_cells=sig_cells,
-            signature_direction=sig_dir,
-        )
-        return records, truth
-    return records
+    rate = np.exp(HAZARD_SLOPE * (r - 0.5)) / TIME_SCALE_MONTHS
+    t_true = float(rng.exponential(1.0 / rate))
+    censored = int(rng.uniform() < cfg.censor_rate)
+    t_obs = t_true * float(rng.uniform()) if censored else t_true
+
+    record = PatientRecord(pid, bags, FollowUp(t_obs, censored))
+    return (record, PatientTruth(r, t_true, q, per_wsi_sig)) if return_truth else record
+
+
+def gen_cohort(cfg: SynthConfig, return_truth: bool = False):
+    """Generate a cohort of patient records with the planted risk signal:
+    gen_patients' records as a list, and with ``return_truth`` the
+    CohortTruth behind them. The list holds every patient's slides at once;
+    ``hvtsurv synth`` writes each patient as gen_patients yields it instead.
+    """
+    if not return_truth:
+        return list(gen_patients(cfg))
+    records, truths = zip(*gen_patients(cfg, return_truth=True))
+    risks, true_times, fractions, sig_cells = zip(*truths)
+    truth = CohortTruth(
+        latent_risk=np.array(risks),
+        true_time_months=np.array(true_times),
+        signature_fraction=np.array(fractions),
+        signature_cells=list(sig_cells),
+        signature_direction=_signature_direction(cfg),
+    )
+    return list(records), truth

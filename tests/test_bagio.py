@@ -8,8 +8,11 @@ from hvtsurv.bagio import (
     IntervalScheme,
     PatchBag,
     PatientRecord,
+    PatientsOnDisk,
     bin_survival_times,
+    check_bag_files,
     load_manifest,
+    read_manifest,
     read_patch_bag,
     stratified_kfold,
     write_csv,
@@ -22,6 +25,7 @@ from hvtsurv.errors import (
     CorruptionError,
     EmptyBagError,
     FormatError,
+    HVTSurvError,
     InsufficientDataError,
     ResolutionError,
     ValidationError,
@@ -171,6 +175,58 @@ class TestManifest:
         (tmp_path / "A.pbag").unlink()
         with pytest.raises(ResolutionError):
             load_manifest(path)
+
+    def test_mixed_widths_rejected(self, tmp_path):
+        path = self.write_cohort(tmp_path, [("P1", "A", 1.0, 0), ("P2", "B", 2.0, 0)])
+        write_patch_bag(make_bag(wsi_id="B", b=3, d=5), tmp_path / "B.pbag")
+        with pytest.raises(ValidationError, match="mixed feature dimensions"):
+            load_manifest(path)
+        with pytest.raises(ValidationError, match="mixed feature dimensions"):
+            check_bag_files(path, read_manifest(path))
+
+    @pytest.mark.parametrize("fault", ["missing", "magic", "version", "short", "truncated",
+                                       "no patches"])
+    def test_header_check_fails_as_the_full_load(self, tmp_path, fault):
+        """check_bag_files, which reads 16 bytes of each file, raises what
+        load_manifest raises; the faulty slide is the last patient's."""
+        path = self.write_cohort(tmp_path, [("P1", "A", 1.0, 0), ("P2", "B", 2.0, 0)])
+        bad = tmp_path / "B.pbag"
+        raw = bad.read_bytes()
+        if fault == "missing":
+            bad.unlink()
+        else:
+            bad.write_bytes({"magic": b"XBAG" + raw[4:], "short": raw[:15],
+                             "version": raw[:4] + struct.pack("<I", 2) + raw[8:],
+                             "truncated": raw[:-1],
+                             "no patches": b"PBAG" + struct.pack("<III", 1, 0, 4)}[fault])
+        with pytest.raises(HVTSurvError) as full:
+            load_manifest(path)
+        with pytest.raises(HVTSurvError) as header:
+            check_bag_files(path, read_manifest(path))
+        assert type(header.value) is type(full.value)
+        assert str(header.value) == str(full.value)
+
+    def test_header_check_returns_the_width(self, tmp_path):
+        path = self.write_cohort(tmp_path, [("P1", "A", 1.0, 0), ("P1", "B", 1.0, 0)])
+        assert check_bag_files(path, read_manifest(path)) == 4
+
+    def test_patients_on_disk_reads_each_when_indexed(self, tmp_path, monkeypatch):
+        from hvtsurv import bagio
+        path = self.write_cohort(tmp_path, [("P1", "A", 1.0, 0), ("P1", "B", 1.0, 0),
+                                            ("P2", "C", 2.0, 1)])
+        reads = []
+        real = bagio.read_patch_bag
+        monkeypatch.setattr(bagio, "read_patch_bag", lambda p: reads.append(p.stem) or real(p))
+        patients = PatientsOnDisk(read_manifest(path))
+        assert len(patients) == 2 and reads == []
+        loaded = load_manifest(path)
+        reads.clear()
+        for i in (1, 0, 1):
+            rec, want = patients[i], loaded[i]
+            assert rec.patient_id == want.patient_id and rec.follow_up == want.follow_up
+            assert all(np.array_equal(a.features, b.features) and a.wsi_id == b.wsi_id
+                       for a, b in zip(rec.bags, want.bags, strict=True))
+        assert reads == ["C", "A", "B", "C"]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -5,6 +5,7 @@ import logging
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,7 +14,8 @@ import pytest
 
 import hvtsurv
 from hvtsurv import cli
-from hvtsurv.errors import ConfigurationError, FormatError
+from hvtsurv.errors import (ConfigurationError, FormatError, ResolutionError,
+                             ValidationError)
 
 
 def read_csv(path):
@@ -511,6 +513,106 @@ class TestTrainEvalAttn:
             assert cli.main(["train", "--manifest", str(manifest),
                              "--out", str(tmp_path / "t"), *FAST_FLAGS]) == 1
         assert any("no rows" in r.getMessage() for r in caplog.records)
+
+
+class TestOnePatientAtATime:
+    """synth, rearrange, eval and attn hold one patient's slides at a time:
+    when a patient's slide is read or written, no other patient's is alive."""
+
+    @staticmethod
+    def watch(monkeypatch, module, name, bag_of):
+        """Wrap module.name so that each call notes how many other patients'
+        bags are still alive, and keeps a weak reference to the call's bag,
+        found by bag_of(args, result); returns the list of those counts."""
+        alive, overlaps = [], []
+        real = getattr(module, name)
+
+        def watched(*args):
+            result = real(*args)
+            bag = bag_of(args, result)
+            patient = bag.wsi_id.rsplit("-W", 1)[0]
+            others = {p for p, ref in alive if ref() is not None and p != patient}
+            overlaps.append(len(others))
+            alive.append((patient, weakref.ref(bag)))
+            return result
+
+        monkeypatch.setattr(module, name, watched)
+        return overlaps
+
+    def read_watch(self, monkeypatch):
+        from hvtsurv import bagio
+        return self.watch(monkeypatch, bagio, "read_patch_bag", lambda args, bag: bag)
+
+    def test_rearrange(self, cohort, tmp_path, monkeypatch):
+        overlaps = self.read_watch(monkeypatch)
+        assert cli.main(["rearrange", "--manifest", str(cohort / "manifest.csv"),
+                         "--out", str(tmp_path / "r"), "--window-size", "8", "--report"]) == 0
+        assert len(overlaps) == len(read_csv(cohort / "manifest.csv"))
+        assert max(overlaps) == 0
+
+    def test_eval(self, cohort, trained, tmp_path, monkeypatch):
+        overlaps = self.read_watch(monkeypatch)
+        assert cli.main(["eval", "--manifest", str(cohort / "manifest.csv"),
+                         "--checkpoints", str(trained), "--out", str(tmp_path / "e"),
+                         "--seed", "0"]) == 0
+        assert len(overlaps) == len(read_csv(cohort / "manifest.csv"))
+        assert max(overlaps) == 0
+
+    def test_attn(self, cohort, trained, tmp_path, monkeypatch):
+        overlaps = self.read_watch(monkeypatch)
+        assert cli.main(["attn", "--manifest", str(cohort / "manifest.csv"),
+                         "--checkpoint", str(trained / "fold0.ckpt"), "--patient", "P0003",
+                         "--out", str(tmp_path / "a")]) == 0
+        assert overlaps and max(overlaps) == 0
+
+    def test_synth(self, tmp_path, monkeypatch):
+        overlaps = self.watch(monkeypatch, cli, "write_patch_bag", lambda args, _: args[0])
+        config = tmp_path / "run.ini"
+        config.write_text("patches_min = 20\npatches_max = 30\nwsis_min = 1\nwsis_max = 3\n")
+        assert cli.main(synth_args(tmp_path / "s", n=6, extra=["--config", str(config)])) == 0
+        assert len(overlaps) == len(read_csv(tmp_path / "s" / "manifest.csv"))
+        assert max(overlaps) == 0
+
+    @pytest.fixture
+    def broken_last(self, cohort, tmp_path):
+        """A manifest of the cohort whose last patient's first slide is missing
+        ("missing") or is rewritten one feature wider ("wider")."""
+        from hvtsurv.bagio import read_pbag_arrays, write_manifest, write_pbag_arrays
+
+        def make(fault):
+            rows = read_csv(cohort / "manifest.csv")
+            for row in rows:
+                row["wsi_path"] = str(cohort / row["wsi_path"])
+            last = next(r for r in rows if r["patient_id"] == rows[-1]["patient_id"])
+            moved = tmp_path / f"{fault}.pbag"
+            if fault == "wider":
+                coords, features = read_pbag_arrays(last["wsi_path"])
+                write_pbag_arrays(moved, coords, np.pad(features, ((0, 0), (0, 1))))
+            last["wsi_path"] = str(moved)
+            manifest = tmp_path / f"manifest-{fault}.csv"
+            write_manifest(manifest, rows)
+            return manifest
+        return make
+
+    @pytest.mark.parametrize("fault, error, message", [
+        ("missing", ResolutionError, "does not exist"),
+        ("wider", ValidationError, "mixed feature dimensions"),
+    ])
+    @pytest.mark.parametrize("command", ["rearrange", "eval"])
+    def test_bad_last_patient_fails_before_any_output(self, command, fault, error, message,
+                                                      broken_last, trained, tmp_path, caplog):
+        out = tmp_path / "out"
+        argv = [command, "--manifest", str(broken_last(fault)), "--out", str(out), "--seed", "0",
+                "--force"]
+        argv += ["--window-size", "8"] if command == "rearrange" else ["--checkpoints",
+                                                                       str(trained)]
+        with caplog.at_level(logging.ERROR, logger="hvtsurv"):
+            assert cli.main(argv) == 1
+        assert message in caplog.text
+        with pytest.raises(error):
+            cli.run(argv)
+        assert not list(out.glob("*_files.txt"))
+        assert not [p for p in out.rglob("*") if p.is_file()]
 
 
 class TestCheckpointCohort:

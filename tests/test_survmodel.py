@@ -369,8 +369,8 @@ def hand_built_attention(pool_weights, w=2, heads=2):
     sub = SubWsiBag(source_wsi="w", features=np.zeros((n, 3)),
                     scaled_coords=np.ones((n, 2), dtype=np.int64), source_rows=np.arange(n),
                     window_ids=np.arange(n // w), window_size=w)
-    attn = np.full((n // w, heads, w, w), 1.0 / w)
-    state = dict(perm=spatial_shuffle(n, w), local=[attn], shuffle=[attn],
+    scores = np.full(n, 1.0 / w)   # the row scores of uniform window attention
+    state = dict(perm=spatial_shuffle(n, w), local=[scores], shuffle=[scores],
                  pool=dict(weights=pool_weights))
     return [sub], state
 
@@ -649,7 +649,8 @@ class TestChunkedForward:
         assert state["chunks"] == [slice(0, step), slice(step, 2 * step),
                                    slice(2 * step, 3 * step)]
         for layer in ("local", "shuffle"):
-            assert np.array_equal(np.concatenate(attention[layer]), whole[layer]["attn"])
+            assert np.array_equal(np.concatenate(attention[layer]),
+                                  whole[layer]["attn"].mean(axis=1).mean(axis=1).ravel())
             # each chunk's training state is the rows of the whole pass's state
             for key in ("qh", "kh", "vh", "attn", "h1"):
                 assert np.array_equal(np.concatenate([entry[key] for entry in state[layer]]),
@@ -769,8 +770,10 @@ class TestExportAttention:
     def test_matrices_row_stochastic(self):
         _, state = self.attention_for(make_patient("P1"), init_params(MICRO_CFG, 1), MICRO_CFG)
         for layer in ("local", "shuffle"):
-            for attn in state[layer]:
-                assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
+            for scores in state[layer]:
+                # column means of row-stochastic matrices: each window's sum to 1
+                windows = scores.reshape(-1, MICRO_CFG.window_size)
+                assert np.allclose(windows.sum(axis=-1), 1.0, atol=1e-6)
         assert np.isclose(state["pool"]["weights"].sum(), 1.0)
 
     def test_drop_fraction_zero_keeps_everything(self):
@@ -806,10 +809,11 @@ class TestExportAttention:
                                          MICRO_CFG)
         assert len({sub.source_wsi for sub in subs}) == 2
         layers = export_attention(subs, state, drop_fraction=0.0)
+        _, full = forward(subs, init_params(MICRO_CFG, 3), MICRO_CFG, return_state=True)
         for layer in ("local", "shuffle"):
             rows = layers[layer]
             # score of window row j: its attention column, averaged over heads and queries
-            attn = np.concatenate(state[layer])
+            attn = np.concatenate([entry["attn"] for entry in full[layer]])
             raw = np.array([attn[k, :, :, j].mean() for k in range(attn.shape[0])
                             for j in range(MICRO_CFG.window_size)])
             expect = (raw - raw.min()) / (raw.max() - raw.min())
@@ -837,10 +841,11 @@ class TestExportAttention:
         assert state["perm"].size == sum(len(sub.source_rows) for sub in subs)
         assert np.array_equal(state["perm"], full["perm"])
         for layer in ("local", "shuffle"):
-            # per chunk, only the attention of the training state's chunk
+            # per chunk, only the row scores of the training state's attention
             assert len(state[layer]) == len(full[layer])
-            for attn, entry in zip(state[layer], full[layer]):
-                assert isinstance(attn, np.ndarray) and np.array_equal(attn, entry["attn"])
+            for scores, entry in zip(state[layer], full[layer]):
+                want = entry["attn"].mean(axis=1).mean(axis=1).ravel()
+                assert isinstance(scores, np.ndarray) and np.array_equal(scores, want)
 
 
 class TestPlantedAttentionConcentration:

@@ -13,6 +13,7 @@ from hvtsurv.synthgen import (
     _mask_for_target,
     gen_cohort,
     gen_irregular_mask,
+    gen_patients,
     largest_component,
 )
 
@@ -91,6 +92,28 @@ class TestGenCohort:
             for ba, bb in zip(ra.bags, rb.bags):
                 assert np.array_equal(ba.coords, bb.coords)
                 assert np.array_equal(ba.features, bb.features)
+
+    @pytest.mark.parametrize("with_truth", [False, True])
+    def test_patients_one_at_a_time_are_the_cohorts(self, with_truth):
+        cfg = SynthConfig(n_patients=5, seed=2, patches_per_wsi_range=(20, 40), feature_dim=3,
+                          wsis_per_patient_range=(1, 3))
+        if with_truth:
+            records, truth = gen_cohort(cfg, return_truth=True)
+            pairs = list(gen_patients(cfg, return_truth=True))
+            assert [t.latent_risk for _, t in pairs] == truth.latent_risk.tolist()
+            assert [t.true_time_months for _, t in pairs] == truth.true_time_months.tolist()
+            assert [t.signature_fraction for _, t in pairs] == truth.signature_fraction.tolist()
+            assert [t.signature_cells for _, t in pairs] == truth.signature_cells
+            streamed = [rec for rec, _ in pairs]
+        else:
+            records, streamed = gen_cohort(cfg), list(gen_patients(cfg))
+        assert len(streamed) == len(records) == 5
+        for got, want in zip(streamed, records):
+            assert (got.patient_id, got.follow_up) == (want.patient_id, want.follow_up)
+            assert [b.wsi_id for b in got.bags] == [b.wsi_id for b in want.bags]
+            for a, b in zip(got.bags, want.bags):
+                assert a.coords.tobytes() == b.coords.tobytes()
+                assert a.features.tobytes() == b.features.tobytes()
 
     def test_zero_signal_fraction_independent_of_risk(self):
         cfg = SynthConfig(
