@@ -52,8 +52,8 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"manifest loaded {len(loaded)} patients")
 
 # survival-time binning: quartiles of the uncensored times
-scheme = bin_survival_times(records, 4)
-print("interval cutpoints (months):", np.round(scheme.cutpoints, 2))
+cutpoints = bin_survival_times(records, 4)
+print("interval cutpoints (months):", np.round(cutpoints, 2))
 labels = [r.interval_label for r in records]
 print("patients per interval:", np.bincount(labels, minlength=4))
 

@@ -15,7 +15,7 @@ synth = SynthConfig(n_patients=80, signal_strength=5.0, censor_rate=0.3,
                     feature_dim=32, patches_per_wsi_range=(60, 120),
                     wsis_per_patient_range=(1, 2), seed=1)
 records = gen_cohort(synth)
-scheme = bin_survival_times(records, 4)
+bin_survival_times(records, 4)
 splits = stratified_kfold(records, folds=2, seed=1)
 
 cfg = HVTSurvConfig(input_dim=32, model_dim=32, window_size=16, n_heads=4,
@@ -35,7 +35,7 @@ for fold, split in enumerate(splits):
         print(f"    epoch {h['epoch']}: train {h['train_loss']:.3f} "
               f"val {h['val_loss']:.3f} val C-Index {h['val_cindex']:.3f}")
 
-    preds = predict_risks(records, split.test, result.params, cfg, cache)
+    preds = predict_risks([records[i] for i in split.test], result.params, cfg, cache)
     ci = survstats.c_index(preds)
     fold_ci.append(ci)
     print(f"  held-out C-Index: {ci:.3f}")

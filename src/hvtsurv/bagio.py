@@ -16,9 +16,8 @@ from __future__ import annotations
 import csv
 import os
 import struct
-from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -117,41 +116,15 @@ class PatientRecord:
             raise ValidationError(f"patient {self.patient_id!r} has no bags")
 
 
-@dataclass
-class IntervalScheme:
-    """Discrete survival-time intervals [t_0, t_1), ..., [t_{n-1}, inf).
-
-    ``cutpoints`` holds t_1 ... t_{n-1}; t_0 = 0 and t_n = infinity are
-    implied. A time exactly at a cutpoint belongs to the higher interval.
-    """
-
-    n_intervals: int
-    cutpoints: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def __post_init__(self):
-        self.cutpoints = np.asarray(self.cutpoints, dtype=np.float64)
-        if self.n_intervals < 2:
-            raise ValidationError(f"need at least 2 intervals, got {self.n_intervals}")
-        if self.cutpoints.shape != (self.n_intervals - 1,):
-            raise ValidationError(
-                f"expected {self.n_intervals - 1} cutpoints, got {self.cutpoints.shape}"
-            )
-        if np.any(np.diff(self.cutpoints) <= 0):
-            raise ValidationError("cutpoints must be strictly increasing")
-
-    def label_for(self, time_months: float) -> int:
-        """Interval index k with t_k <= time < t_{k+1}."""
-        return int(np.searchsorted(self.cutpoints, time_months, side="right"))
-
-
 def write_pbag_arrays(path, coords: np.ndarray, features: np.ndarray) -> None:
-    """Raw PBAG writer for already-validated (or derived) arrays.
+    """Raw PBAG writer for already-validated (or derived) arrays, through
+    ``atomic_open``: a failed write leaves the previous file.
 
     Rearranged outputs reuse this layout even though their padded rows
     repeat coordinates, which write_patch_bag would reject.
     """
     b, d = features.shape
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(PBAG_MAGIC)
         fh.write(struct.pack("<III", PBAG_VERSION, b, d))
         fh.write(np.ascontiguousarray(coords, dtype="<i4").tobytes())
@@ -334,21 +307,6 @@ def check_bag_files(path, entries: list[ManifestPatient]) -> int:
     return dims.pop()
 
 
-class PatientsOnDisk(Sequence):
-    """read_manifest's entries as a sequence of PatientRecords, each read
-    with load_patient when indexed and kept by no one here, so a loop that
-    drops each record before indexing the next holds one patient's slides."""
-
-    def __init__(self, entries: list[ManifestPatient]):
-        self.entries = entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> PatientRecord:
-        return load_patient(self.entries[i])
-
-
 def load_manifest(path) -> list[PatientRecord]:
     """Load a manifest CSV (see read_manifest) and every PBAG file it
     references into patient records, in the order patients first appear.
@@ -358,13 +316,17 @@ def load_manifest(path) -> list[PatientRecord]:
     return [load_patient(entry) for entry in entries]
 
 
-def bin_survival_times(records: list[PatientRecord], n: int) -> IntervalScheme:
-    """Choose interval cutpoints and label every record in place.
+def bin_survival_times(records: list[PatientRecord], n: int) -> np.ndarray:
+    """Choose interval cutpoints and label every record in place; returns
+    the n - 1 cutpoints t_1 ... t_{n-1} of [0, t_1), ..., [t_{n-1}, inf).
 
     Cutpoints are the 1/n ... (n-1)/n linear-interpolation quantiles of
     the uncensored survival times; labels are assigned to all records,
-    censored included.
+    censored included. A time exactly at a cutpoint belongs to the higher
+    interval.
     """
+    if n < 2:
+        raise ValidationError(f"need at least 2 intervals, got {n}")
     uncensored = np.array(
         [r.follow_up.time_months for r in records if r.follow_up.censored == 0]
     )
@@ -376,10 +338,10 @@ def bin_survival_times(records: list[PatientRecord], n: int) -> IntervalScheme:
     cutpoints = np.quantile(uncensored, qs, method="linear")
     if np.any(np.diff(cutpoints) <= 0):
         raise InsufficientDataError("quantile cutpoints are not strictly increasing")
-    scheme = IntervalScheme(n_intervals=n, cutpoints=cutpoints)
     for rec in records:
-        rec.interval_label = scheme.label_for(rec.follow_up.time_months)
-    return scheme
+        rec.interval_label = int(np.searchsorted(cutpoints, rec.follow_up.time_months,
+                                                 side="right"))
+    return cutpoints
 
 
 class FoldSplit(NamedTuple):
@@ -388,20 +350,18 @@ class FoldSplit(NamedTuple):
     test: list[int]
 
 
-def stratified_kfold(
-    records: list[PatientRecord],
-    folds: int,
-    seed: int,
-    validation_fraction: float = 0.2,
-) -> list[FoldSplit]:
+# Share of each fold's non-test patients that validate: 60:15:25 at 4 folds.
+VALIDATION_FRACTION = 0.2
+
+
+def stratified_kfold(records: list[PatientRecord], folds: int, seed: int) -> list[FoldSplit]:
     """Censorship-stratified cross-validation splits over patient indices.
 
     Only each record's ``follow_up`` is read, so read_manifest's entries
     split as the records loaded from them do.
 
     Each fold uses one of ``folds`` equal chunks as the test set; the
-    validation set is a stratified ``validation_fraction`` of the rest
-    (0.2 gives the 60:15:25 train:validation:test split at 4 folds).
+    validation set is a stratified VALIDATION_FRACTION of the rest.
     """
     if folds < 2:
         raise ConfigurationError(f"folds must be >= 2, got {folds}")
@@ -434,7 +394,7 @@ def stratified_kfold(
         rest_by_stratum = [[i for i in stratum if fold_of[i] != f] for stratum in strata]
         rest_unc, rest_cen = rest_by_stratum
         n_rest = len(rest_unc) + len(rest_cen)
-        n_val = int(round(validation_fraction * n_rest))
+        n_val = int(round(VALIDATION_FRACTION * n_rest))
 
         # Pick how many censored patients enter validation so that both the
         # validation and the training split stay within one patient of the

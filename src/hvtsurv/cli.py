@@ -28,7 +28,6 @@ import numpy as np
 
 from . import survstats
 from .bagio import (
-    PatientsOnDisk,
     atomic_open,
     bin_survival_times,
     check_bag_files,
@@ -84,8 +83,6 @@ class RunConfig:
     feature_dim: int = 64
     signal_strength: float = 5.0
     censor_rate: float = 0.3
-    grid_width: int = 20
-    grid_height: int = 20
     hole_density: float = 0.25
     # cross-validation
     folds: int = 4
@@ -101,7 +98,7 @@ class RunConfig:
             feature_dim=self.feature_dim,
             signal_strength=self.signal_strength,
             censor_rate=self.censor_rate,
-            grid_shape=(self.grid_width, self.grid_height, self.hole_density),
+            hole_density=self.hole_density,
             seed=derive_seed(self.seed, "synth"),
         )
 
@@ -194,12 +191,13 @@ def cmd_synth(rc: RunConfig, out: str, force: bool) -> dict:
     """Generate a cohort and write it in manifest + PBAG form, one patient
     at a time: each patient's slides are written and dropped before the
     next patient is drawn."""
+    synth = rc.synth_config()
     out_dir = _prepare_out(out, force, "manifest.csv")
     bag_dir = out_dir / "bags"
     bag_dir.mkdir(exist_ok=True)
 
     produced, rows, censored, patches = [], [], [], 0
-    for rec in gen_patients(rc.synth_config()):
+    for rec in gen_patients(synth):
         for bag in rec.bags:
             path = bag_dir / f"{bag.wsi_id}.pbag"
             write_patch_bag(bag, path)
@@ -234,11 +232,11 @@ def cmd_rearrange(rc: RunConfig, manifest: str, out: str, force: bool,
     been checked, and each one's slides are dropped before the next is read.
     """
     _require_path(manifest, "manifest")
+    entries = read_manifest(manifest)
+    w = rc.model_config(input_dim=check_bag_files(manifest, entries)).window_size
     out_dir = _prepare_out(out, force, "rearranged")
     re_dir = out_dir / "rearranged"
     re_dir.mkdir(exist_ok=True)
-    entries = read_manifest(manifest)
-    w = rc.model_config(input_dim=check_bag_files(manifest, entries)).window_size
 
     produced = []
     report_rows = []
@@ -272,11 +270,11 @@ def cmd_rearrange(rc: RunConfig, manifest: str, out: str, force: bool,
 def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool) -> dict:
     """Cross-validated training; emits one checkpoint per fold + metrics."""
     _require_path(manifest, "manifest")
-    out_dir = _prepare_out(out, force, "metrics.csv")
     records = load_manifest(manifest)
     cfg = rc.model_config(input_dim=records[0].bags[0].feature_dim)
     bin_survival_times(records, cfg.n_intervals)
     splits = stratified_kfold(records, rc.folds, seed=derive_seed(rc.seed, "splits"))
+    out_dir = _prepare_out(out, force, "metrics.csv")
     cohort = _cohort_fingerprint(records)
 
     produced = []
@@ -360,20 +358,19 @@ def cmd_eval(rc: RunConfig, manifest: str, checkpoint_dir: str, out: str,
     """
     _require_path(manifest, "manifest")
     _require_path(checkpoint_dir, "checkpoint directory")
-    out_dir = _prepare_out(out, force, "report.csv")
     entries = read_manifest(manifest)
     feature_dim = check_bag_files(manifest, entries)
-
     ckpts = _fold_checkpoints(Path(checkpoint_dir), rc.seed, entries, feature_dim)
     splits = stratified_kfold(entries, len(ckpts), seed=derive_seed(rc.seed, "splits"))
-    records = PatientsOnDisk(entries)
+    out_dir = _prepare_out(out, force, "report.csv")
 
     fold_ci = []
     pooled_low: list = []
     pooled_high: list = []
     risk_rows = []
     for fold, (params, cfg) in enumerate(ckpts):
-        preds = predict_risks(records, splits[fold].test, params, cfg)
+        preds = predict_risks((load_patient(entries[i]) for i in splits[fold].test),
+                              params, cfg)
         fold_ci.append(survstats.c_index(preds))
         low, high = survstats.risk_stratify(preds)
         pooled_low.extend(low)
@@ -403,7 +400,6 @@ def cmd_attn(rc: RunConfig, manifest: str, checkpoint: str, patient_id: str,
     PBAG files, only that patient's are read."""
     _require_path(manifest, "manifest")
     _require_path(checkpoint, "checkpoint")
-    out_dir = _prepare_out(out, force, f"attention_{patient_id}.csv")
     cohort = read_manifest(manifest)
     entry = next((e for e in cohort if e.patient_id == patient_id), None)
     if entry is None:
@@ -414,8 +410,9 @@ def cmd_attn(rc: RunConfig, manifest: str, checkpoint: str, patient_id: str,
 
     subs = preprocess_patient(rec, cfg, EVAL_MASK_SEED)
     _, state = forward(subs, params, cfg, want_attention=True)
-    layers = export_attention(subs, state, drop_fraction=rc.drop_fraction)
+    layers = export_attention(subs, state, rc.drop_fraction)
 
+    out_dir = _prepare_out(out, force, f"attention_{patient_id}.csv")
     path = out_dir / f"attention_{patient_id}.csv"
     write_csv(path, ["layer", "wsi_id", "patch_index", "gx", "gy", "score"],
               ([layer, r["wsi_id"], r["patch_index"], r["gx"], r["gy"], f"{r['score']:.6f}"]
@@ -425,10 +422,17 @@ def cmd_attn(rc: RunConfig, manifest: str, checkpoint: str, patient_id: str,
     return dict(layers={k: len(v) for k, v in layers.items()})
 
 
+def _key_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
+    """One flag per configuration key, ``--n-patients`` for ``n_patients``,
+    kept as text: build_run_config casts it as it casts a config file's."""
+    for key in keys:
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value configuration file")
-    common.add_argument("--seed", type=int, help="master seed")
+    common.add_argument("--seed", help="master seed")
     common.add_argument("--out", default="hvtsurv-run", help="output directory")
     common.add_argument("--force", action="store_true",
                         help="overwrite existing outputs")
@@ -438,23 +442,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic cohort")
-    p.add_argument("--n-patients", type=int, dest="n_patients")
-    p.add_argument("--censor-rate", type=float, dest="censor_rate")
-    p.add_argument("--signal-strength", type=float, dest="signal_strength")
+    _key_flags(p, "n_patients", "censor_rate", "signal_strength")
 
     p = sub.add_parser("rearrange", parents=[common], help="window-rearrange a cohort")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--window-size", type=int, dest="window_size")
+    _key_flags(p, "window_size")
     p.add_argument("--report", action="store_true",
                    help="also emit the kNN vs raster distance report")
 
     p = sub.add_parser("train", parents=[common], help="cross-validated training")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--epochs", type=int, dest="max_epochs")
-    p.add_argument("--model-dim", type=int, dest="model_dim")
-    p.add_argument("--window-size", type=int, dest="window_size")
-    p.add_argument("--n-heads", type=int, dest="n_heads")
+    _key_flags(p, "folds")
+    p.add_argument("--epochs", dest="max_epochs")
+    _key_flags(p, "model_dim", "window_size", "n_heads")
 
     p = sub.add_parser("eval", parents=[common], help="evaluate fold checkpoints")
     p.add_argument("--manifest", required=True)
@@ -465,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--patient", required=True, dest="patient_id")
-    p.add_argument("--drop-fraction", type=float, dest="drop_fraction")
+    _key_flags(p, "drop_fraction")
 
     return parser
 

@@ -20,7 +20,7 @@ import logging
 import os
 import struct
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -279,7 +279,8 @@ def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
     product leaves its elements unchanged on the BLAS kernels tested.
     The chunks of a layer run on chunk_workers threads, each writing its
     output over its own input rows; the result does not depend on the
-    thread count.
+    thread count. Each chunk of the local layer builds the bucket index of
+    its own windows, so no (windows, w, w) index of the patient is held.
 
     Returns a HazardOutput, or (HazardOutput, state) when either flag is
     set. ``state`` holds the stacked shuffle ``perm``, ``pool``, attn_pool's
@@ -303,11 +304,12 @@ def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
     workers = chunk_workers(len(chunks))
     keep = return_state or want_attention
 
-    def layer(h, prefix, idx=None):
+    def layer(h, prefix, coords=None):
         """One attention block on the stacked rows by chunks, each chunk's output
         written over its input rows in h; returns what to keep of each chunk."""
         def run(rows):
-            chunk_idx = None if idx is None else idx[rows.start // w : rows.stop // w]
+            chunk_idx = None if coords is None else manhattan_bucket_index(
+                coords[rows.start // w : rows.stop // w], cfg.bucket)
             if not keep:
                 return window_attention(h[rows], params, prefix, heads, w, chunk_idx), None
             out, chunk_state = window_attention(h[rows], params, prefix, heads, w, chunk_idx,
@@ -326,7 +328,7 @@ def forward(sub_bags: list[SubWsiBag], params: ParamStore, cfg: HVTSurvConfig,
     h = linear(x, params["reduce.weight"], params["reduce.bias"])
     del x   # the backward stacks the features again
     coords = np.concatenate([sub.scaled_coords for sub in sub_bags]).reshape(-1, w, 2)
-    local = layer(h, "local", manhattan_bucket_index(coords, cfg.bucket))
+    local = layer(h, "local", coords)
     perm = block_shuffle(lengths, w)
     inv = inverse_permutation(perm)
     h = h[perm]   # the unpermuted rows go before the layer runs
@@ -494,7 +496,7 @@ def fit(records: list[PatientRecord], train_idx, val_idx, cfg: HVTSurvConfig,
             optimizer.step()
             train_losses.append(loss)
 
-        val_preds, val_outs = _evaluate(records, val_idx, params, cfg, cache)
+        val_preds, val_outs = _evaluate((records[i] for i in val_idx), params, cfg, cache)
         val_loss = float(np.mean([nll_loss(out, records[i].interval_label,
                                            records[i].follow_up.censored)
                                   for i, out in zip(val_idx, val_outs)]))
@@ -520,13 +522,12 @@ def fit(records: list[PatientRecord], train_idx, val_idx, cfg: HVTSurvConfig,
     return best
 
 
-def _evaluate(records: Sequence[PatientRecord], indices, params: ParamStore, cfg: HVTSurvConfig,
+def _evaluate(records: Iterable[PatientRecord], params: ParamStore, cfg: HVTSurvConfig,
               cache: dict | None) -> tuple[list[survstats.RiskPrediction], list[HazardOutput]]:
-    """Risk predictions and forward outputs of records[i], i in indices, under
-    the eval mask. Each record is indexed once, and dropped before the next."""
+    """Risk predictions and forward outputs of the records, in order, under
+    the eval mask. Each record is dropped before the next is taken."""
     preds, outs = [], []
-    for i in indices:
-        rec = records[i]
+    for rec in records:
         out = forward(preprocess_patient(rec, cfg, EVAL_MASK_SEED, cache), params, cfg)
         preds.append(survstats.RiskPrediction(
             patient_id=rec.patient_id, risk=out.risk,
@@ -536,21 +537,20 @@ def _evaluate(records: Sequence[PatientRecord], indices, params: ParamStore, cfg
     return preds, outs
 
 
-def predict_risks(records: Sequence[PatientRecord], indices, params: ParamStore,
-                  cfg: HVTSurvConfig, cache: dict | None = None) -> list[survstats.RiskPrediction]:
-    """Risks of records[i], i in indices, under the evaluation mask; ``cache``
+def predict_risks(records: Iterable[PatientRecord], params: ParamStore, cfg: HVTSurvConfig,
+                  cache: dict | None = None) -> list[survstats.RiskPrediction]:
+    """Risks of the records, in order, under the evaluation mask; ``cache``
     is preprocess_patient's rearranged-bag cache.
 
-    ``records`` may be a list or any sequence that builds a record when
-    indexed, such as bagio.PatientsOnDisk: each record is indexed once and
-    dropped before the next, so with no cache such a sequence keeps one
-    patient's slides in memory at a time.
+    ``records`` may be a list or any iterable, such as a generator that
+    reads each patient from disk: each record is dropped before the next
+    is taken, so with no cache a generator keeps one patient's slides in
+    memory at a time.
     """
-    return _evaluate(records, indices, params, cfg, cache)[0]
+    return _evaluate(records, params, cfg, cache)[0]
 
 
-def export_attention(sub_bags: list[SubWsiBag], state: dict,
-                     drop_fraction: float = 0.8) -> dict:
+def export_attention(sub_bags: list[SubWsiBag], state: dict, drop_fraction: float) -> dict:
     """Per-layer patch scores ready for heatmap rendering.
 
     ``state`` is what forward(sub_bags, ..., want_attention=True)

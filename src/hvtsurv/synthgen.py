@@ -59,7 +59,7 @@ class SynthConfig:
     feature_dim: int = 64
     signal_strength: float = 5.0
     censor_rate: float = 0.3
-    grid_shape: tuple[int, int, float] = (20, 20, 0.25)
+    hole_density: float = 0.25
     seed: int = 0
 
     def __post_init__(self):
@@ -75,9 +75,8 @@ class SynthConfig:
             raise ConfigurationError("censor_rate must lie in [0, 1]")
         if self.signal_strength < 0:
             raise ConfigurationError("signal_strength must be >= 0")
-        w, h, density = self.grid_shape
-        if w < 1 or h < 1 or not 0.0 <= density < 1.0:
-            raise ConfigurationError(f"bad grid_shape {self.grid_shape}")
+        if not 0.0 <= self.hole_density < 1.0:
+            raise ConfigurationError(f"hole_density must lie in [0, 1), got {self.hole_density}")
 
 
 @dataclass
@@ -190,12 +189,12 @@ def _bfs_blob(mask: np.ndarray, start: tuple[int, int], size: int) -> np.ndarray
 
 
 def _mask_for_target(cfg: SynthConfig, target: int, seed: int) -> np.ndarray:
-    """Mask grid, indexed [x, y], trimmed to about ``target`` cells."""
-    gw, gh, density = cfg.grid_shape
-    aspect = gh / gw
+    """Mask grid, indexed [x, y], about as wide as it is high and trimmed to
+    about ``target`` cells."""
+    density = cfg.hole_density
     area = target / max(1.0 - density, 1e-9)
     for _ in range(3):
-        width = max(1, round(np.sqrt(area / aspect)))
+        width = max(1, round(np.sqrt(area)))
         height = max(1, int(np.ceil(area / width)))
         grid = _irregular_grid(width, height, density, seed)
         if np.count_nonzero(grid) >= target:

@@ -196,7 +196,7 @@ def test_criterion_5_end_to_end_planted_signal():
     for fold, split in enumerate(splits):
         result = fit(records, split.train, split.validation, cfg,
                      seed=derive_seed(0, f"fold:{fold}"))
-        preds = predict_risks(records, split.test, result.params, cfg, cache)
+        preds = predict_risks([records[i] for i in split.test], result.params, cfg, cache)
         fold_ci.append(survstats.c_index(preds))
         low, high = survstats.risk_stratify(preds)
         pooled_low.extend(low)
@@ -206,7 +206,7 @@ def test_criterion_5_end_to_end_planted_signal():
 
     untrained = init_params(cfg, seed=derive_seed(0, "untrained"))
     untrained_ci = survstats.c_index(
-        predict_risks(records, splits[0].test, untrained, cfg, cache))
+        predict_risks([records[i] for i in splits[0].test], untrained, cfg, cache))
 
     elapsed = time.time() - start
     report(5, mean_ci >= 0.85 and logrank_p < 0.05

@@ -5,10 +5,8 @@ import pytest
 
 from hvtsurv.bagio import (
     FollowUp,
-    IntervalScheme,
     PatchBag,
     PatientRecord,
-    PatientsOnDisk,
     bin_survival_times,
     check_bag_files,
     load_manifest,
@@ -19,6 +17,7 @@ from hvtsurv.bagio import (
     write_int_csv,
     write_manifest,
     write_patch_bag,
+    write_pbag_arrays,
 )
 from hvtsurv.errors import (
     ConfigurationError,
@@ -71,6 +70,18 @@ class TestPatchBag:
         write_patch_bag(bag, tmp_path / "one.pbag")
         back = read_patch_bag(tmp_path / "one.pbag")
         assert back.n_patches == 1
+
+    def test_failed_write_keeps_the_previous_pbag(self, tmp_path):
+        # features that cannot be cast fail after the header and coordinates
+        # are written: the previous file stays whole, and no temporary stays
+        path = tmp_path / "w.pbag"
+        bag = make_bag(b=3, d=2)
+        write_patch_bag(bag, path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            write_pbag_arrays(path, bag.coords, np.full((3, 2), "x", dtype=object))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["w.pbag"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pbag"
@@ -210,24 +221,6 @@ class TestManifest:
         path = self.write_cohort(tmp_path, [("P1", "A", 1.0, 0), ("P1", "B", 1.0, 0)])
         assert check_bag_files(path, read_manifest(path)) == 4
 
-    def test_patients_on_disk_reads_each_when_indexed(self, tmp_path, monkeypatch):
-        from hvtsurv import bagio
-        path = self.write_cohort(tmp_path, [("P1", "A", 1.0, 0), ("P1", "B", 1.0, 0),
-                                            ("P2", "C", 2.0, 1)])
-        reads = []
-        real = bagio.read_patch_bag
-        monkeypatch.setattr(bagio, "read_patch_bag", lambda p: reads.append(p.stem) or real(p))
-        patients = PatientsOnDisk(read_manifest(path))
-        assert len(patients) == 2 and reads == []
-        loaded = load_manifest(path)
-        reads.clear()
-        for i in (1, 0, 1):
-            rec, want = patients[i], loaded[i]
-            assert rec.patient_id == want.patient_id and rec.follow_up == want.follow_up
-            assert all(np.array_equal(a.features, b.features) and a.wsi_id == b.wsi_id
-                       for a, b in zip(rec.bags, want.bags, strict=True))
-        assert reads == ["C", "A", "B", "C"]
-
     def test_bad_header(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("pid,file,time,flag\nP1,x.pbag,1.0,0\n")
@@ -259,8 +252,7 @@ def make_records(times, censored):
 class TestBinning:
     def test_quartile_cutpoints(self):
         records = make_records(range(1, 9), [0] * 8)
-        scheme = bin_survival_times(records, 4)
-        assert np.allclose(scheme.cutpoints, [2.75, 4.5, 6.25])
+        assert np.allclose(bin_survival_times(records, 4), [2.75, 4.5, 6.25])
 
     def test_zero_time_gets_first_interval(self):
         records = make_records([0.0] + list(range(1, 9)), [0] * 9)
@@ -269,20 +261,25 @@ class TestBinning:
 
     def test_censored_beyond_cutpoints_gets_last_interval(self):
         records = make_records(list(range(1, 9)) + [1000.0], [0] * 8 + [1])
-        scheme = bin_survival_times(records, 4)
-        assert records[-1].interval_label == scheme.n_intervals - 1
+        bin_survival_times(records, 4)
+        assert records[-1].interval_label == 3
 
     def test_tie_at_cutpoint_goes_up(self):
-        scheme = IntervalScheme(n_intervals=4, cutpoints=np.array([2.0, 4.0, 6.0]))
-        assert scheme.label_for(2.0) == 1
-        assert scheme.label_for(1.999) == 0
+        # uncensored times 1..7 put the quartile cutpoints at 2.5, 4 and 5.5
+        records = make_records([*range(1, 8), 2.5, 2.499], [0] * 7 + [1, 1])
+        assert np.array_equal(bin_survival_times(records, 4), [2.5, 4.0, 5.5])
+        assert [r.interval_label for r in records[3:]] == [2, 2, 3, 3, 1, 0]
+
+    def test_one_interval_rejected(self):
+        with pytest.raises(ValidationError, match="at least 2 intervals"):
+            bin_survival_times(make_records(range(1, 9), [0] * 8), 1)
 
     def test_exactly_one_label(self):
         records = make_records(np.linspace(0, 50, 40), [0] * 40)
-        scheme = bin_survival_times(records, 4)
+        cutpoints = bin_survival_times(records, 4)
         for rec in records:
             t = rec.follow_up.time_months
-            edges = [0.0, *scheme.cutpoints, np.inf]
+            edges = [0.0, *cutpoints, np.inf]
             hits = [k for k in range(4) if edges[k] <= t < edges[k + 1]]
             assert hits == [rec.interval_label]
 
@@ -290,12 +287,12 @@ class TestBinning:
         rng = np.random.default_rng(3)
         times = rng.uniform(0, 100, size=30)
         records = make_records(times, [0] * 30)
-        scheme_a = bin_survival_times(records, 4)
+        cutpoints_a = bin_survival_times(records, 4)
         labels_a = {r.patient_id: r.interval_label for r in records}
         shuffled = list(records)
         rng.shuffle(shuffled)
-        scheme_b = bin_survival_times(shuffled, 4)
-        assert np.allclose(scheme_a.cutpoints, scheme_b.cutpoints)
+        cutpoints_b = bin_survival_times(shuffled, 4)
+        assert np.allclose(cutpoints_a, cutpoints_b)
         assert {r.patient_id: r.interval_label for r in shuffled} == labels_a
 
     def test_insufficient_distinct_times(self):

@@ -77,9 +77,14 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             cli.parse_config_file(path)
 
-    @pytest.mark.parametrize("key, value", [("folds", "abc"), ("window_size", "4.5")])
+    # the command that has each key's flag
+    FLAG_COMMANDS = {"folds": "train", "window_size": "rearrange", "n_patients": "synth"}
+
+    @pytest.mark.parametrize("key, value", [("folds", "abc"), ("window_size", "4.5"),
+                                            ("n_patients", "abc")])
     def test_unreadable_value_names_key_and_value(self, tmp_path, key, value, caplog):
-        # one run-level key and one model key
+        # run-level keys and a model key, from a config file and as a flag:
+        # either is cast once, by build_run_config, and exits 1
         with pytest.raises(ConfigurationError, match=f"{key}.*{value}"):
             cli.build_run_config({key: value}, {})
         path = tmp_path / "c.ini"
@@ -87,6 +92,16 @@ class TestConfig:
         with caplog.at_level("ERROR", logger="hvtsurv"):
             assert cli.main(synth_args(tmp_path / "out", n=4, extra=["--config", str(path)])) == 1
         assert key in caplog.text and value in caplog.text
+        assert not (tmp_path / "out").exists()
+
+        caplog.clear()
+        command = self.FLAG_COMMANDS[key]
+        argv = [command, "--out", str(tmp_path / "out"), f"--{key.replace('_', '-')}", value]
+        if command != "synth":
+            argv += ["--manifest", str(tmp_path / "manifest.csv")]
+        with caplog.at_level("ERROR", logger="hvtsurv"):
+            assert cli.main(argv) == 1
+        assert f"configuration key {key!r}" in caplog.text and value in caplog.text
         assert not (tmp_path / "out").exists()
 
 
@@ -466,7 +481,8 @@ class TestTrainEvalAttn:
         # the file the whole-cohort load wrote, before attn read one patient alone
         params, cfg, _ = load_checkpoint(trained / "fold0.ckpt")
         subs = preprocess_patient(rec, cfg, EVAL_MASK_SEED)
-        layers = export_attention(subs, forward(subs, params, cfg, want_attention=True)[1])
+        layers = export_attention(subs, forward(subs, params, cfg, want_attention=True)[1],
+                                  cli.RunConfig().drop_fraction)
         want = tmp_path / "want.csv"
         bagio.write_csv(want, ["layer", "wsi_id", "patch_index", "gx", "gy", "score"],
                         ([layer, r["wsi_id"], r["patch_index"], r["gx"], r["gy"],
@@ -513,6 +529,29 @@ class TestTrainEvalAttn:
             assert cli.main(["train", "--manifest", str(manifest),
                              "--out", str(tmp_path / "t"), *FAST_FLAGS]) == 1
         assert any("no rows" in r.getMessage() for r in caplog.records)
+
+
+@pytest.mark.parametrize("case", ["synth", "rearrange", "train", "eval", "attn",
+                                  "attn-drop-fraction"])
+def test_failed_check_writes_no_output_directory(case, cohort, trained, tmp_path, caplog):
+    # each command reads and checks its inputs before it makes --out
+    manifest = str(cohort / "manifest.csv")
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["synth", "--n-patients", "0"],
+        "rearrange": ["rearrange", "--manifest", manifest, "--window-size", "0"],
+        "train": ["train", "--manifest", manifest, "--folds", "20", *FAST_FLAGS],
+        "eval": ["eval", "--manifest", manifest, "--checkpoints", str(trained), "--seed", "9"],
+        "attn": ["attn", "--manifest", manifest, "--checkpoint", str(trained / "fold0.ckpt"),
+                 "--patient", "NOPE"],
+        "attn-drop-fraction": ["attn", "--manifest", manifest, "--checkpoint",
+                               str(trained / "fold0.ckpt"), "--patient", "P0000",
+                               "--drop-fraction", "1.5"],
+    }[case]
+    with caplog.at_level(logging.ERROR, logger="hvtsurv"):
+        assert cli.main([*argv, "--out", str(out)]) == 1
+    assert caplog.records
+    assert not out.exists()
 
 
 class TestOnePatientAtATime:

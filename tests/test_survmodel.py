@@ -662,6 +662,20 @@ class TestChunkedForward:
         for pool in (attention["pool"], state["pool"]):
             assert np.array_equal(pool["weights"], whole["pool"]["weights"])
 
+    def test_each_chunk_builds_its_own_bucket_index(self, monkeypatch):
+        # no (windows, w, w) index of the whole patient is built, in any mode
+        from hvtsurv import survmodel
+        windows, real = [], survmodel.manhattan_bucket_index
+        monkeypatch.setattr(survmodel, "manhattan_bucket_index",
+                            lambda coords, p: windows.append(len(coords)) or real(coords, p))
+        subs = grid_sub_bags(MULTI_CHUNK, CHUNK_CFG)
+        params = init_params(CHUNK_CFG, seed=3)
+        for mode in ({}, {"want_attention": True}, {"return_state": True}):
+            windows.clear()
+            forward(subs, params, CHUNK_CFG, **mode)
+            assert sum(windows) == sum(MULTI_CHUNK) // CHUNK_CFG.window_size, mode
+            assert max(windows) <= FORWARD_CHUNK_ROWS // CHUNK_CFG.window_size, mode
+
     def test_multi_chunk_step_within_1e_12_of_whole_pass(self):
         # the chunks' weight gradients add up in another order than one pass's
         subs = grid_sub_bags(MULTI_CHUNK, CHUNK_CFG)
@@ -1075,7 +1089,7 @@ class TestCheckpoint:
         for fold, split in enumerate(splits):
             result = fit(records, split.train, split.validation, cfg,
                          seed=derive_seed(seed, f"fold:{fold}"))
-            for pred in predict_risks(records, split.test, result.params, cfg):
+            for pred in predict_risks([records[i] for i in split.test], result.params, cfg):
                 in_memory[(fold, pred.patient_id)] = pred.risk
         assert evaluated.keys() == in_memory.keys()
         # fit trains the float32 store the checkpoint holds, so eval scores the

@@ -176,6 +176,8 @@ class TestGenCohort:
             SynthConfig(n_patients=5, censor_rate=1.5)
         with pytest.raises(ConfigurationError):
             SynthConfig(n_patients=5, patches_per_wsi_range=(10, 5))
+        with pytest.raises(ConfigurationError, match="hole_density"):
+            SynthConfig(n_patients=5, hole_density=1.0)
 
 
 def grid_from_rows(*rows):
@@ -259,7 +261,7 @@ class TestBfsBlob:
     def test_mask_for_target_falls_back_to_the_last_draw(self):
         # At 90% holes no draw's largest component gets near the target, so
         # after three growing draws the last one is returned untrimmed.
-        cfg = SynthConfig(n_patients=1, grid_shape=(20, 20, 0.9))
+        cfg = SynthConfig(n_patients=1, hole_density=0.9)
         target, seed = 60, 5
         area, s, draws = target / (1 - 0.9), seed, []
         for _ in range(3):
