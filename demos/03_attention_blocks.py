@@ -13,7 +13,7 @@ from hvtsurv.blocks import (
     BucketParams,
     attn_pool,
     block_layout,
-    bucket_distance,
+    bucket_distances,
     inverse_permutation,
     manhattan_bucket_index,
     spatial_shuffle,
@@ -25,8 +25,9 @@ from hvtsurv.survmodel import draw_tensors
 
 p = BucketParams()   # alpha 1.9, beta 7.6, gamma 11.4, lambda 7
 print("distance -> bucket:")
-for x in (0, 1, 2, 3, 5, 8, 11.4, 20, 100):
-    print(f"  {x:>6} -> {bucket_distance(float(x), p)}")
+distances = [0, 1, 2, 3, 5, 8, 11.4, 20, 100]
+for x, bucket in zip(distances, bucket_distances(distances, p)):
+    print(f"  {x:>6} -> {bucket}")
 print("short distances keep their own bucket; long ones compress "
       f"logarithmically and cap at {p.lam}\n")
 

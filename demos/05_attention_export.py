@@ -42,15 +42,16 @@ _, state = forward(subs, result.params, cfg, want_attention=True)
 layers = export_attention(subs, state, drop_fraction=0.8)
 
 grid = {(int(x) // 256, int(y) // 256): i for i, (x, y) in enumerate(bag.coords)}
-signature_rows = {grid[cell] for cell in blob}
+signature_rows = [grid[cell] for cell in blob]
+# export_attention gives each layer's rows (indices into the stacked sub-bags'
+# rows) and their scores; map the rows back to the slide's patches
+patch_of_row = np.concatenate([sub.source_rows for sub in subs])
 
 for layer in ("local", "shuffle", "pool"):
-    rows = layers[layer]
-    kept = [r for r in rows if r["score"] > 0]
-    on_sig = [r for r in kept if r["patch_index"] in signature_rows]
-    sig_scores = [r["score"] for r in rows if r["patch_index"] in signature_rows]
-    bg_scores = [r["score"] for r in rows if r["patch_index"] not in signature_rows]
-    print(f"{layer:>7}: {len(kept)}/{len(rows)} rows survive the 80% drop; "
-          f"{len(on_sig)} of the survivors sit on the signature blob "
-          f"(mean score signature {np.mean(sig_scores):.3f} vs background "
-          f"{np.mean(bg_scores):.3f})")
+    rows, scores = layers[layer]
+    on_sig = np.isin(patch_of_row[rows], signature_rows)
+    kept = scores > 0
+    print(f"{layer:>7}: {kept.sum()}/{len(rows)} rows survive the 80% drop; "
+          f"{(kept & on_sig).sum()} of the survivors sit on the signature blob "
+          f"(mean score signature {scores[on_sig].mean():.3f} vs background "
+          f"{scores[~on_sig].mean():.3f})")

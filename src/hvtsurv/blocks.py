@@ -36,7 +36,6 @@ from .numerics import (
     normal_cdf,
     softmax_rows,
     softmax_rows_backward,
-    tanh,
     tanh_backward,
 )
 
@@ -77,10 +76,6 @@ def bucket_distances(x, p: BucketParams) -> np.ndarray:
     inner = p.alpha + np.log(safe / p.alpha) / np.log(p.gamma / p.alpha) * (p.beta - 2 * p.alpha)
     far = np.minimum(float(p.lam), np.floor(inner + 0.5))
     return np.where(ax <= p.alpha, near, far).astype(np.int64)
-
-
-def bucket_distance(x: float, p: BucketParams) -> int:
-    return int(bucket_distances(np.asarray(x), p))
 
 
 def pairwise_manhattan(coords: np.ndarray) -> np.ndarray:
@@ -299,7 +294,7 @@ def attn_pool(h: np.ndarray, params: ParamStore, return_state: bool = False):
     tanh(``pool.V`` h) gate; returns (pooled (d,), weights (G,))."""
     if h.ndim != 2 or h.shape[0] < 1:
         raise ShapeError(f"attn_pool expects (G, d) with G >= 1, got {h.shape}")
-    t = tanh(h @ params["pool.V"].T)
+    t = np.tanh(h @ params["pool.V"].T)
     scores = (t @ params["pool.U"].T).ravel()
     weights = softmax_rows(scores[None, :])[0]
     pooled = weights @ h

@@ -10,15 +10,17 @@ is tolerated); command-line flags override file values, which override
 defaults. The keys are RunConfig's run-level fields plus the model and
 training keys of survmodel.CONFIG_DEFAULTS. Every run directory receives
 a manifest of produced files.
-Exit codes: 0 success, 1 validation/configuration error, 2 runtime or
-numeric error.
+Exit codes: 0 success, 1 validation/configuration error (a usage error
+included), 2 runtime or numeric error.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -111,7 +113,8 @@ _RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "mode
 # input_dim comes from the cohort's features and seed is the run seed
 _MODEL_DEFAULTS = {k: v for k, v in CONFIG_DEFAULTS.items()
                    if k != "input_dim" and k not in _RUN_DEFAULTS}
-CONFIG_KEYS = (*_RUN_DEFAULTS, *_MODEL_DEFAULTS)
+# every configuration key, with the default whose type its values are cast to
+CONFIG_KEYS = {**_RUN_DEFAULTS, **_MODEL_DEFAULTS}
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -129,21 +132,25 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def build_run_config(file_values: dict, overrides: dict) -> RunConfig:
-    """Merge defaults < config file < flags, rejecting unknown keys and bad values."""
+    """Merge defaults < config file < flags, rejecting unknown keys and bad
+    values, NaN and infinities among them."""
     rc = RunConfig()
     for source in (file_values, overrides):
         for key, value in source.items():
             if value is None:
                 continue
+            if key not in CONFIG_KEYS:
+                raise ConfigurationError(f"unknown configuration key {key!r}")
             try:
-                if key in _MODEL_DEFAULTS:
-                    rc.model[key] = type(_MODEL_DEFAULTS[key])(value)
-                elif key in _RUN_DEFAULTS:
-                    setattr(rc, key, type(_RUN_DEFAULTS[key])(value))
-                else:
-                    raise ConfigurationError(f"unknown configuration key {key!r}")
+                cast = type(CONFIG_KEYS[key])(value)
+                if isinstance(cast, float) and not math.isfinite(cast):
+                    raise ValueError(f"{value!r} is not finite")
             except ValueError as exc:
                 raise ConfigurationError(f"configuration key {key!r}: {exc}") from exc
+            if key in _MODEL_DEFAULTS:
+                rc.model[key] = cast
+            else:
+                setattr(rc, key, cast)
     return rc
 
 
@@ -178,13 +185,17 @@ def _cohort_fingerprint(records) -> str:
     return hashlib.sha256("".join(f"{p},{t!r},{c}\n" for p, t, c in rows).encode()).hexdigest()
 
 
-def _check_cohort(path, stored, records) -> None:
-    """Reject a checkpoint whose stored fingerprint is not the records' cohort's."""
-    cohort = _cohort_fingerprint(records)
-    if stored is None:
-        log.warning("%s has no cohort fingerprint; its patients are not checked", path)
-    elif stored != cohort:
-        raise FormatError(f"{path}: trained on cohort {stored}, manifest has cohort {cohort}")
+def _load_trained(path, cohort: str, *keys: str) -> tuple:
+    """load_checkpoint of a file that train wrote for the cohort of fingerprint
+    ``cohort``: it holds that fingerprint as ``cohort_sha256``, and ``keys``."""
+    params, cfg, extra = load_checkpoint(path)
+    for key in ("cohort_sha256", *keys):
+        if key not in extra:
+            raise FormatError(f"{path}: checkpoint has no {key!r} key")
+    if extra["cohort_sha256"] != cohort:
+        raise FormatError(f"{path}: trained on cohort {extra['cohort_sha256']}, "
+                          f"manifest has cohort {cohort}")
+    return params, cfg, extra
 
 
 def cmd_synth(rc: RunConfig, out: str, force: bool) -> dict:
@@ -193,6 +204,9 @@ def cmd_synth(rc: RunConfig, out: str, force: bool) -> dict:
     next patient is drawn."""
     synth = rc.synth_config()
     out_dir = _prepare_out(out, force, "manifest.csv")
+    # a run that fails part-way must leave no earlier manifest over its bags
+    for stale in ("manifest.csv", "synth_files.txt"):
+        (out_dir / stale).unlink(missing_ok=True)
     bag_dir = out_dir / "bags"
     bag_dir.mkdir(exist_ok=True)
 
@@ -225,7 +239,7 @@ def cmd_synth(rc: RunConfig, out: str, force: bool) -> dict:
 
 
 def cmd_rearrange(rc: RunConfig, manifest: str, out: str, force: bool,
-                  report: bool = False) -> dict:
+                  report: bool = False) -> None:
     """Rearrange every WSI; write PBAG outputs plus window sidecars.
 
     Patients are read one at a time, after every PBAG file's header has
@@ -251,23 +265,20 @@ def cmd_rearrange(rc: RunConfig, manifest: str, out: str, force: bool,
                           np.column_stack([i, i // reb.window_size, reb.scaled_coords]))
             produced += [pbag_path, sidecar]
             if report:
-                report_rows.append(dict(wsi_id=bag.wsi_id, knn_mean=window_mean_manhattan(reb),
-                                        raster_mean=window_mean_manhattan(raster_order(bag, w))))
+                report_rows.append([bag.wsi_id, f"{window_mean_manhattan(reb):.6f}",
+                                    f"{window_mean_manhattan(raster_order(bag, w)):.6f}"])
         del bag, reb   # before the next patient is read
 
     if report:
         report_path = out_dir / "window_distance_report.csv"
-        write_csv(report_path, ["wsi_id", "knn_mean", "raster_mean"],
-                  ([r["wsi_id"], f"{r['knn_mean']:.6f}", f"{r['raster_mean']:.6f}"]
-                   for r in report_rows))
+        write_csv(report_path, ["wsi_id", "knn_mean", "raster_mean"], report_rows)
         produced.append(report_path)
     _write_produced(out_dir, "rearrange", produced)
     n_wsis = sum(len(entry.bag_paths) for entry in entries)
     print(f"rearranged {n_wsis} WSIs at window size {w}")
-    return dict(n_wsis=n_wsis, report_rows=report_rows)
 
 
-def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool) -> dict:
+def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool) -> None:
     """Cross-validated training; emits one checkpoint per fold + metrics."""
     _require_path(manifest, "manifest")
     records = load_manifest(manifest)
@@ -275,6 +286,8 @@ def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool) -> dict:
     bin_survival_times(records, cfg.n_intervals)
     splits = stratified_kfold(records, rc.folds, seed=derive_seed(rc.seed, "splits"))
     out_dir = _prepare_out(out, force, "metrics.csv")
+    for stale in out_dir.glob("fold*.ckpt"):   # an earlier run's folds would mix with these
+        stale.unlink()
     cohort = _cohort_fingerprint(records)
 
     produced = []
@@ -302,34 +315,33 @@ def cmd_train(rc: RunConfig, manifest: str, out: str, force: bool) -> dict:
     produced.append(metrics)
     _write_produced(out_dir, "train", produced)
     print(f"trained {len(splits)} folds -> {out_dir}")
-    return dict(folds=len(splits), histories=histories)
 
 
 def _fold_checkpoints(ckpt_dir: Path, seed: int, entries, feature_dim: int) -> list[tuple]:
     """(params, config) of each fold*.ckpt file of one training run, in the
     order of the stored fold keys. Each file is read once.
 
-    All checkpoints must agree on the fold count, seed, input_dim,
-    window_size, n_intervals and cohort; the cohort must be that of the
-    manifest entries and input_dim their feature width. The fold keys
-    must be exactly 0..k-1 for k files.
+    Each checkpoint must be of the manifest entries' cohort. All must
+    agree on the fold count, seed, input_dim, window_size and n_intervals,
+    and input_dim must be the entries' feature width. The fold keys must
+    be exactly 0..k-1 for k files.
     """
     paths = sorted(ckpt_dir.glob("fold*.ckpt"))
     if not paths:
         raise ValidationError(f"no fold checkpoints found in {ckpt_dir}")
     by_fold: dict[int, tuple] = {}
     first = None
+    cohort = _cohort_fingerprint(entries)
     for path in paths:
-        params, cfg, extra = load_checkpoint(path)
-        run = dict(folds=int(extra.get("folds", -1)), seed=cfg.seed, input_dim=cfg.input_dim,
-                   window_size=cfg.window_size, n_intervals=cfg.n_intervals,
-                   cohort=extra.get("cohort_sha256"))
+        params, cfg, extra = _load_trained(path, cohort, "fold", "folds")
+        run = dict(folds=int(extra["folds"]), seed=cfg.seed, input_dim=cfg.input_dim,
+                   window_size=cfg.window_size, n_intervals=cfg.n_intervals)
         if first is None:
             first = (path, run)
         elif run != first[1]:
             raise FormatError(f"checkpoint set inconsistent: {path} has {run}, "
                               f"{first[0]} has {first[1]}")
-        by_fold.setdefault(int(extra.get("fold", -1)), (params, cfg))
+        by_fold.setdefault(int(extra["fold"]), (params, cfg))
     path, run = first
     if run["folds"] != len(paths):
         raise FormatError(
@@ -345,12 +357,11 @@ def _fold_checkpoints(ckpt_dir: Path, seed: int, entries, feature_dim: int) -> l
     if run["input_dim"] != feature_dim:
         raise FormatError(f"{path}: model expects {run['input_dim']}-dim features, "
                           f"cohort has {feature_dim}")
-    _check_cohort(path, run["cohort"], entries)
     return [by_fold[k] for k in range(len(paths))]
 
 
 def cmd_eval(rc: RunConfig, manifest: str, checkpoint_dir: str, out: str,
-             force: bool) -> dict:
+             force: bool) -> None:
     """Out-of-sample risks per fold, pooled stratified KM and log-rank.
 
     Every PBAG file's header is checked first; then each patient is read
@@ -391,11 +402,10 @@ def cmd_eval(rc: RunConfig, manifest: str, checkpoint_dir: str, out: str,
     _write_produced(out_dir, "eval", [report, km_path, risks_path])
     print(f"mean test C-Index {np.mean(fold_ci):.4f} over {len(fold_ci)} folds; "
           f"pooled log-rank p = {p_value:.3g}")
-    return dict(fold_cindex=fold_ci, logrank_p=p_value, chi_square=chi)
 
 
 def cmd_attn(rc: RunConfig, manifest: str, checkpoint: str, patient_id: str,
-             out: str, force: bool) -> dict:
+             out: str, force: bool) -> None:
     """Export per-layer attention scores for one patient; of the cohort's
     PBAG files, only that patient's are read."""
     _require_path(manifest, "manifest")
@@ -405,21 +415,25 @@ def cmd_attn(rc: RunConfig, manifest: str, checkpoint: str, patient_id: str,
     if entry is None:
         raise ValidationError(f"unknown patient {patient_id!r}")
     rec = load_patient(entry)
-    params, cfg, extra = load_checkpoint(checkpoint)
-    _check_cohort(checkpoint, extra.get("cohort_sha256"), cohort)
+    params, cfg, _ = _load_trained(checkpoint, _cohort_fingerprint(cohort))
 
     subs = preprocess_patient(rec, cfg, EVAL_MASK_SEED)
     _, state = forward(subs, params, cfg, want_attention=True)
     layers = export_attention(subs, state, rc.drop_fraction)
+    # wsi_id, patch_index, gx and gy of the stacked rows, one array each
+    tags = (np.repeat([sub.source_wsi for sub in subs], [len(sub.source_rows) for sub in subs]),
+            *np.concatenate([np.column_stack([sub.source_rows, sub.scaled_coords])
+                             for sub in subs]).T)
 
     out_dir = _prepare_out(out, force, f"attention_{patient_id}.csv")
     path = out_dir / f"attention_{patient_id}.csv"
     write_csv(path, ["layer", "wsi_id", "patch_index", "gx", "gy", "score"],
-              ([layer, r["wsi_id"], r["patch_index"], r["gx"], r["gy"], f"{r['score']:.6f}"]
-               for layer, rows in layers.items() for r in rows))
+              itertools.chain.from_iterable(
+                  zip(itertools.repeat(layer), *(tag[rows].tolist() for tag in tags),
+                      map("{:.6f}".format, scores.tolist()))
+                  for layer, (rows, scores) in layers.items()))
     _write_produced(out_dir, "attn", list(out_dir.glob("attention_*.csv")))
     print(f"attention scores for {patient_id} -> {path}")
-    return dict(layers={k: len(v) for k, v in layers.items()})
 
 
 def _key_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
@@ -427,6 +441,15 @@ def _key_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
     kept as text: build_run_config casts it as it casts a config file's."""
     for key in keys:
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1, as every other bad input
+    does, instead of argparse's 2; subparsers are of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigurationError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,8 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--force", action="store_true",
                         help="overwrite existing outputs")
 
-    parser = argparse.ArgumentParser(prog="hvtsurv",
-                                     description="windowed-attention survival pipeline")
+    parser = _Parser(prog="hvtsurv", description="windowed-attention survival pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic cohort")

@@ -236,10 +236,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
 def tanh_backward(grad: np.ndarray, out: np.ndarray) -> np.ndarray:
     return grad * (1.0 - out * out)
 

@@ -54,11 +54,6 @@ class SubWsiBag:
     scaled_coords: np.ndarray
     source_rows: np.ndarray
     window_ids: np.ndarray
-    window_size: int
-
-    @property
-    def n_windows(self) -> int:
-        return self.features.shape[0] // self.window_size
 
 
 def scale_coords(coords) -> np.ndarray:
@@ -81,12 +76,6 @@ def pad_rows(b: int, w: int) -> np.ndarray:
         return np.arange(b, dtype=np.int64)
     mode = "edge" if (b == 1 or pad >= b) else "reflect"
     return np.pad(np.arange(b, dtype=np.int64), (pad // 2, pad - pad // 2), mode=mode)
-
-
-def reflect_pad(bag: PatchBag, w: int):
-    """The bag padded by pad_rows: (features, pixel coords, source row index)."""
-    idx = pad_rows(bag.n_patches, w)
-    return bag.features[idx], bag.coords[idx], idx
 
 
 # Below this many remaining rows a round ranks all of them: that is cheaper
@@ -113,9 +102,9 @@ def knn_rearrange(bag: PatchBag, w: int) -> RearrangedBag:
     """
     if w < 1:
         raise ConfigurationError(f"window size must be >= 1, got {w}")
-    feats, coords, src = reflect_pad(bag, w)
-    grid = scale_coords(coords)
-    length = feats.shape[0]
+    src = pad_rows(bag.n_patches, w)
+    grid = scale_coords(bag.coords[src])
+    length = src.size
 
     # rows in (gy, gx, index) order; a candidate's rank in it breaks distance ties
     span = int(grid[:, 0].max()) + 1
@@ -157,13 +146,9 @@ def knn_rearrange(bag: PatchBag, w: int) -> RearrangedBag:
         # with r*r above this window's reach, so that such a window ends in one pass
         r = math.isqrt(int(dist2[best[-1]])) + 1
 
-    return RearrangedBag(
-        wsi_id=bag.wsi_id,
-        features=feats[order],
-        scaled_coords=grid[order],
-        source_rows=src[order],
-        window_size=w,
-    )
+    rows = src[order]
+    return RearrangedBag(wsi_id=bag.wsi_id, features=bag.features[rows],
+                         scaled_coords=grid[order], source_rows=rows, window_size=w)
 
 
 def raster_order(bag: PatchBag, w: int) -> RearrangedBag:
@@ -206,7 +191,6 @@ def random_window_mask(bag: RearrangedBag, m: int, seed: int) -> list[SubWsiBag]
                 scaled_coords=bag.scaled_coords[rows],
                 source_rows=bag.source_rows[rows],
                 window_ids=window_ids,
-                window_size=bag.window_size,
             )
         )
     return subs
@@ -220,11 +204,3 @@ def window_mean_manhattan(bag: RearrangedBag) -> float:
     k = 2 * np.arange(w) - w + 1
     windows = np.sort(bag.scaled_coords.reshape(bag.n_windows, w, 2), axis=1)
     return int((windows * k[:, None]).sum()) / bag.n_windows
-
-
-def compare_strategies(bag: PatchBag, w: int) -> tuple[float, float]:
-    """(greedy kNN, raster) mean window Manhattan distances for one bag."""
-    return (
-        window_mean_manhattan(knn_rearrange(bag, w)),
-        window_mean_manhattan(raster_order(bag, w)),
-    )

@@ -550,16 +550,19 @@ def predict_risks(records: Iterable[PatientRecord], params: ParamStore, cfg: HVT
     return _evaluate(records, params, cfg, cache)[0]
 
 
-def export_attention(sub_bags: list[SubWsiBag], state: dict, drop_fraction: float) -> dict:
-    """Per-layer patch scores ready for heatmap rendering.
+def export_attention(sub_bags: list[SubWsiBag], state: dict,
+                     drop_fraction: float) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per-layer patch scores ready for heatmap rendering, as layer ->
+    (rows, scores): ``rows`` indexes the sub-bags' stacked rows, in the
+    order of forward, and ``scores`` holds the float64 score of each.
 
     ``state`` is what forward(sub_bags, ..., want_attention=True)
     returned with its output: per window-attention layer, each chunk's row
     scores, its attention averaged over heads and then over the query
     axis. Per layer, the lowest ``drop_fraction`` of scores are zeroed and
     the rest min-max rescaled to [0, 1] (a constant score vector rescales
-    to all zeros). Rows follow the stacked order of forward; row j of the
-    shuffle layer is the stacked row perm[j], and is tagged as such.
+    to all zeros). The local and pooling layers score the stacked rows in
+    order; score j of the shuffle layer is that of stacked row perm[j].
     """
     if not 0.0 <= drop_fraction < 1.0:
         raise ValidationError(f"drop_fraction must lie in [0, 1), got {drop_fraction}")
@@ -574,20 +577,12 @@ def export_attention(sub_bags: list[SubWsiBag], state: dict, drop_fraction: floa
             return np.zeros_like(scores)
         return (scores - scores.min()) / span
 
-    tags = [(sub.source_wsi, row, gx, gy) for sub in sub_bags
-            for row, (gx, gy) in zip(sub.source_rows.tolist(), sub.scaled_coords.tolist())]
-    as_is = range(len(tags))
-    per_layer = {
-        "local": (as_is, np.concatenate(state["local"])),
-        "shuffle": (state["perm"].tolist(), np.concatenate(state["shuffle"])),
-        "pool": (as_is, state["pool"]["weights"]),
+    in_order = np.arange(sum(len(sub.source_rows) for sub in sub_bags))
+    return {
+        "local": (in_order, finalize(np.concatenate(state["local"]))),
+        "shuffle": (state["perm"], finalize(np.concatenate(state["shuffle"]))),
+        "pool": (in_order, finalize(state["pool"]["weights"])),
     }
-    layers: dict[str, list[dict]] = {}
-    for name, (order, raw) in per_layer.items():
-        layers[name] = [dict(wsi_id=wsi, patch_index=row, gx=gx, gy=gy, score=score)
-                        for (wsi, row, gx, gy), score in zip((tags[j] for j in order),
-                                                             finalize(raw).tolist())]
-    return layers
 
 
 def save_checkpoint(path, params: ParamStore, cfg: HVTSurvConfig,
@@ -617,9 +612,7 @@ def load_checkpoint(path):
 
     Every config key must be present; keys that are not config keys come
     back as the extra string values. The tensors must be exactly those of
-    param_layout(config), each once and with its layout shape; the signed
-    (2*lam+1)-row bias table of older checkpoints loads as its first lam+1
-    rows, the only ones a Manhattan distance reads.
+    param_layout(config), each once and with its layout shape.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -649,13 +642,11 @@ def load_checkpoint(path):
             shape = struct.unpack_from(f"<{ndim}I", raw, offset)
             offset += 4 * ndim
             expected = layout[name][0] if name in layout else "no such tensor"
-            signed = name == "local.bias_table" and shape == (2 * cfg.bucket.lam + 1, cfg.n_heads)
-            if name in arrays or (shape != expected and not signed):
+            if name in arrays or shape != expected:
                 raise FormatError(f"{path}: tensor {name!r} of shape {shape} is repeated or "
                                   f"unlike the config's layout ({expected})")
             count = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(raw, "<f4", count, offset).reshape(shape)
-            arrays[name] = arr[: expected[0]] if signed else arr
+            arrays[name] = np.frombuffer(raw, "<f4", count, offset).reshape(shape)
             offset += 4 * count
     except (struct.error, UnicodeDecodeError, KeyError, ValueError) as exc:
         raise FormatError(f"{path}: corrupt checkpoint ({exc})") from exc

@@ -9,7 +9,6 @@ from hvtsurv.blocks import (
     attn_pool_backward,
     block_layout,
     block_shuffle,
-    bucket_distance,
     bucket_distances,
     inverse_permutation,
     manhattan_bucket_index,
@@ -28,25 +27,25 @@ DEFAULTS = BucketParams()
 
 class TestBucketDistance:
     def test_zero(self):
-        assert bucket_distance(0.0, DEFAULTS) == 0
+        assert bucket_distances(0.0, DEFAULTS) == 0
 
     def test_reference_table(self):
         # derived by direct evaluation of the piecewise map with the
         # default (1.9, 7.6, 11.4, 7) parameters
         expected = {0: 0, 1: 1, 2: 2, 3: 3, 5: 4, 11.4: 6, 100: 7}
         for x, want in expected.items():
-            assert bucket_distance(float(x), DEFAULTS) == want
+            assert bucket_distances(float(x), DEFAULTS) == want
 
     def test_inner_branch_value(self):
         # g(3): 1.9 + ln(3/1.9)/ln(6) * 3.8 = 2.8687 -> rounds to 3
         inner = 1.9 + np.log(3 / 1.9) / np.log(11.4 / 1.9) * (7.6 - 3.8)
         assert abs(inner - 2.8687) < 1e-3
-        assert bucket_distance(3.0, DEFAULTS) == 3
+        assert bucket_distances(3.0, DEFAULTS) == 3
 
     def test_cap_at_lambda(self):
         inner = 1.9 + np.log(100 / 1.9) / np.log(11.4 / 1.9) * (7.6 - 3.8)
         assert inner > 10
-        assert bucket_distance(100.0, DEFAULTS) == 7
+        assert bucket_distances(100.0, DEFAULTS) == 7
 
     def test_even_and_monotone_and_capped(self):
         xs = np.sort(rng.uniform(0, 500, size=200))
@@ -125,8 +124,8 @@ class TestManhattanBias:
     def test_distance_three_lookup(self):
         table = bias_table(3, rng)
         bias = window_bias(np.array([[[1, 1], [2, 3]]]), table)
-        assert np.allclose(bias[0, :, 0, 1], table[bucket_distance(3, DEFAULTS)])
-        assert bucket_distance(3, DEFAULTS) == 3
+        assert np.allclose(bias[0, :, 0, 1], table[bucket_distances(3, DEFAULTS)])
+        assert bucket_distances(3, DEFAULTS) == 3
 
     def test_symmetry(self):
         table = bias_table(4, rng)

@@ -105,6 +105,48 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["learning_rate", "bucket_alpha", "signal_strength",
+                                     "drop_fraction"])
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigurationError, match=f"{key}.*{value}.*not finite"):
+            cli.build_run_config({key: value}, {})
+        with pytest.raises(ConfigurationError, match=f"{key}.*not finite"):
+            cli.build_run_config({}, {key: value})
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_setting_fails_before_out(self, cohort, tmp_path, caplog, value):
+        config = tmp_path / "c.ini"
+        config.write_text(f"learning_rate = {value}\n")
+        runs = [["train", "--manifest", str(cohort / "manifest.csv"), "--config", str(config),
+                 "--epochs", "1", *FAST_FLAGS],
+                ["synth", "--n-patients", "4", "--signal-strength", value]]
+        for argv in runs:
+            caplog.clear()
+            with caplog.at_level(logging.ERROR, logger="hvtsurv"):
+                assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 1
+            assert "not finite" in caplog.text
+            assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["synth", "--bogus", "1"], ["train", "--out", "x"],
+                                  ["nonsense"], []],
+                         ids=["unknown-flag", "missing-manifest", "unknown-command", "none"])
+def test_usage_error_exits_1(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    assert "usage: hvtsurv" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["synth", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert "usage: hvtsurv" in capsys.readouterr().out
+
+
 class TestSynth:
     def test_manifest_groups_by_patient(self, cohort):
         from hvtsurv.bagio import load_manifest
@@ -127,6 +169,25 @@ class TestSynth:
         assert cli.main(synth_args(out, n=4)) == 0
         assert cli.main(synth_args(out, n=4)) == 1
         assert cli.main(synth_args(out, n=4, extra=["--force"])) == 0
+
+    def test_force_failing_part_way_leaves_no_manifest(self, tmp_path, monkeypatch):
+        """A rewrite that fails after some bags leaves no manifest over a mix of
+        the two runs' bags, and no listing of the earlier run."""
+        out = tmp_path / "c"
+        assert cli.main(synth_args(out, n=6, seed=1)) == 0
+        written, real = [], cli.write_patch_bag
+
+        def failing(bag, path):
+            written.append(path)
+            if len(written) == 4:
+                raise OSError("disk full")
+            real(bag, path)
+
+        monkeypatch.setattr(cli, "write_patch_bag", failing)
+        assert cli.main(synth_args(out, n=6, seed=2, extra=["--force"])) == 2
+        assert len(written) == 4
+        assert not (out / "manifest.csv").exists()
+        assert not (out / "synth_files.txt").exists()
 
     def test_censor_rate_reported(self, tmp_path):
         rc = cli.build_run_config({}, dict(
@@ -294,6 +355,16 @@ def trained(cohort, tmp_path_factory):
 
 
 class TestTrainEvalAttn:
+    def test_force_removes_the_earlier_runs_folds(self, cohort, tmp_path):
+        manifest, train = str(cohort / "manifest.csv"), tmp_path / "train"
+        argv = ["train", "--manifest", manifest, "--out", str(train), "--epochs", "0",
+                "--seed", "0", *FAST_FLAGS]
+        assert cli.main([*argv, "--folds", "4"]) == 0
+        assert cli.main([*argv, "--folds", "2", "--force"]) == 0
+        assert sorted(p.name for p in train.glob("fold*.ckpt")) == ["fold0.ckpt", "fold1.ckpt"]
+        assert cli.main(["eval", "--manifest", manifest, "--checkpoints", str(train),
+                         "--out", str(tmp_path / "ev"), "--seed", "0"]) == 0
+
     def test_fold_checkpoints_written(self, trained):
         assert sorted(p.name for p in trained.glob("fold*.ckpt")) == [
             "fold0.ckpt", "fold1.ckpt", "fold2.ckpt"]
@@ -483,10 +554,13 @@ class TestTrainEvalAttn:
         subs = preprocess_patient(rec, cfg, EVAL_MASK_SEED)
         layers = export_attention(subs, forward(subs, params, cfg, want_attention=True)[1],
                                   cli.RunConfig().drop_fraction)
+        stacked = [(sub.source_wsi, row, gx, gy) for sub in subs for row, (gx, gy)
+                   in zip(sub.source_rows.tolist(), sub.scaled_coords.tolist())]
         want = tmp_path / "want.csv"
         bagio.write_csv(want, ["layer", "wsi_id", "patch_index", "gx", "gy", "score"],
-                        ([layer, r["wsi_id"], r["patch_index"], r["gx"], r["gy"],
-                          f"{r['score']:.6f}"] for layer, rows in layers.items() for r in rows))
+                        ([layer, *stacked[j], f"{score:.6f}"]
+                         for layer, (rows, scores) in layers.items()
+                         for j, score in zip(rows.tolist(), scores.tolist())))
         read, real_read = [], bagio.read_patch_bag
 
         def counting_read(path):
@@ -715,29 +789,36 @@ class TestCheckpointCohort:
         with pytest.raises(FormatError, match="trained on cohort"):
             cli.cmd_eval(rc, str(manifest), str(trained), str(tmp_path / "ev"), force=False)
 
-    def test_checkpoint_without_fingerprint_loads_with_warning(self, cohort, trained,
-                                                               tmp_path, caplog):
+    @pytest.mark.parametrize("key", ["cohort_sha256", "fold", "folds", "local.bias_table"])
+    def test_checkpoint_that_train_does_not_write_is_rejected(self, cohort, trained, tmp_path,
+                                                              caplog, key):
+        """A checkpoint without one of the run keys that train writes, or with the
+        signed (2*lam+1)-row bias table of older checkpoints, fails eval, and attn
+        too where attn reads the key, naming the file and the key."""
+        from hvtsurv.numerics import ParamStore
         from hvtsurv.survmodel import load_checkpoint, save_checkpoint
         ckpts = tmp_path / "old"
         ckpts.mkdir()
         for path in trained.glob("fold*.ckpt"):
             params, cfg, extra = load_checkpoint(path)
-            del extra["cohort_sha256"]
+            if key == "local.bias_table":
+                table = params[key]
+                params = ParamStore({**{n: params[n] for n in params.names()},
+                                     key: np.vstack([table, table[1:]])})
+            else:
+                del extra[key]
             save_checkpoint(ckpts / path.name, params, cfg, extra)
-            # the key is the only difference from the file train writes
-            line = f"cohort_sha256={load_checkpoint(path)[2]['cohort_sha256']}\n".encode()
-            old, new = (ckpts / path.name).read_bytes(), path.read_bytes()
-            assert new[12:].replace(line, b"", 1) == old[12:] and len(new) == len(old) + len(line)
         manifest = str(cohort / "manifest.csv")
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="hvtsurv"):
-            assert cli.main(["eval", "--manifest", manifest, "--checkpoints", str(ckpts),
-                             "--out", str(tmp_path / "ev"), "--seed", "0"]) == 0
-        assert any("no cohort fingerprint" in r.getMessage() for r in caplog.records)
-        assert cli.main(["eval", "--manifest", manifest, "--checkpoints", str(trained),
-                         "--out", str(tmp_path / "ev2"), "--seed", "0"]) == 0
-        assert (tmp_path / "ev" / "risks.csv").read_bytes() == \
-            (tmp_path / "ev2" / "risks.csv").read_bytes()
+        runs = {"eval": ["--checkpoints", str(ckpts), "--seed", "0"]}
+        if key not in ("fold", "folds"):   # attn reads neither
+            runs["attn"] = ["--checkpoint", str(ckpts / "fold0.ckpt"), "--patient", "P0000"]
+        for command, args in runs.items():
+            caplog.clear()
+            out = tmp_path / command
+            with caplog.at_level(logging.ERROR, logger="hvtsurv"):
+                assert cli.main([command, "--manifest", manifest, *args, "--out", str(out)]) == 1
+            assert f"{ckpts / 'fold0.ckpt'}: " in caplog.text and f"{key!r}" in caplog.text
+            assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,6 @@ from hvtsurv.numerics import (
     sigmoid,
     softmax_rows,
     softmax_rows_backward,
-    tanh,
     tanh_backward,
 )
 
@@ -110,7 +109,6 @@ class TestElementwise:
 
     def test_fixed_points(self):
         assert sigmoid(np.array(0.0)) == 0.5
-        assert tanh(np.array(0.0)) == 0.0
         assert gelu(np.array(0.0)) == 0.0
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -141,8 +139,8 @@ class TestElementwise:
                  lambda g, x: g * gelu_and_slope(x.copy(), normal_cdf(x))[1])
 
     def test_tanh_gradient(self):
-        check_op(lambda: (rand(4, 5),), tanh,
-                 lambda g, x: tanh_backward(g, tanh(x)))
+        check_op(lambda: (rand(4, 5),), np.tanh,
+                 lambda g, x: tanh_backward(g, np.tanh(x)))
 
 
 class TestErfAndSigmoid:

@@ -15,11 +15,10 @@ from hvtsurv.blocks import pairwise_manhattan
 from hvtsurv.errors import ConfigurationError
 from hvtsurv.rearrange import (
     RearrangedBag,
-    compare_strategies,
     knn_rearrange,
+    pad_rows,
     random_window_mask,
     raster_order,
-    reflect_pad,
     scale_coords,
     window_mean_manhattan,
 )
@@ -46,8 +45,8 @@ def irregular_bag(n, hole_density, seed, shuffled):
 
 def scan_knn_rearrange(bag: PatchBag, w: int) -> RearrangedBag:
     """Oracle: every window ranks all remaining rows by the full key."""
-    feats, coords, src = reflect_pad(bag, w)
-    grid = scale_coords(coords)
+    src = pad_rows(bag.n_patches, w)
+    feats, grid = bag.features[src], scale_coords(bag.coords[src])
     remaining = np.arange(feats.shape[0])
     order = []
     while remaining.size:
@@ -92,31 +91,28 @@ class TestScaleCoords:
 
 
 class TestReflectPad:
+    """pad_rows, the padding both window orders gather their rows through."""
+
     def test_pad_arithmetic_100_49(self):
-        bag = grid_bag([(x, y) for y in range(10) for x in range(10)])
-        feats, coords, src = reflect_pad(bag, 49)
-        assert len(feats) == 147
+        src = pad_rows(100, 49)
+        assert len(src) == 147
         # left pad of 23 mirrors rows 23..1, right pad of 24 mirrors 98..75
         assert src[0] == 23 and src[22] == 1 and src[23] == 0
         assert src[-1] == 75 and src[147 - 24 - 1] == 99
 
     def test_exact_multiple_is_identity(self):
         bag = grid_bag([(x, 0) for x in range(49)])
-        feats, coords, src = reflect_pad(bag, 49)
-        assert np.array_equal(feats, bag.features)
-        assert np.array_equal(src, np.arange(49))
+        assert np.array_equal(pad_rows(49, 49), np.arange(49))
+        out = knn_rearrange(bag, 49)
+        assert np.array_equal(np.sort(out.source_rows), np.arange(49))
+        assert np.array_equal(out.features, bag.features[out.source_rows])
 
     def test_reflect_without_edge_repeat(self):
-        bag = grid_bag([(0, 0), (1, 0), (2, 0)])
-        feats, _, src = reflect_pad(bag, 5)
-        assert src.tolist() == [1, 0, 1, 2, 1]
+        assert pad_rows(3, 5).tolist() == [1, 0, 1, 2, 1]
 
     def test_tiny_bag_uses_replicate(self):
-        bag = grid_bag([(0, 0)])
-        feats, coords, src = reflect_pad(bag, 5)
-        assert src.tolist() == [0] * 5
-        bag2 = grid_bag([(0, 0), (1, 0)])
-        _, _, src2 = reflect_pad(bag2, 5)
+        assert pad_rows(1, 5).tolist() == [0] * 5
+        src2 = pad_rows(2, 5)
         assert len(src2) == 5 and set(src2).issubset({0, 1})
 
 
@@ -201,7 +197,7 @@ def test_knn_window_contract_on_large_bags(n, w, seed, shuffled):
     bag = irregular_bag(n, 0.25, seed, shuffled)
     assert bag.n_patches > 512
     out = knn_rearrange(bag, w)
-    _, _, pad_src = reflect_pad(bag, w)
+    pad_src = pad_rows(bag.n_patches, w)
     # copies of one source row take their padded positions in output order
     pos = np.empty(len(pad_src), dtype=np.int64)
     pos[np.argsort(out.source_rows, kind="stable")] = np.argsort(pad_src, kind="stable")
@@ -388,6 +384,6 @@ def test_benchmark_knn_beats_raster_on_irregular_masks():
         side = int(np.ceil(np.sqrt(target / 0.75)))
         cells = sorted(gen_irregular_mask(side, side, 0.25, seed))[:target]
         bag = grid_bag(cells, seed=seed, wsi_id=f"bench{seed}")
-        knn_mean, raster_mean = compare_strategies(bag, 49)
-        wins += knn_mean < raster_mean
+        wins += (window_mean_manhattan(knn_rearrange(bag, 49))
+                 < window_mean_manhattan(raster_order(bag, 49)))
     assert wins >= 19
